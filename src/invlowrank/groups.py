@@ -13,6 +13,7 @@ stacked constraint blocks alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +68,16 @@ class ConstraintMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def null_projector(self) -> np.ndarray:
+        """I - G G^+, computed on first use and kept; W (I - G G^+) is the invariant part of W."""
+        return _freeze(linalg.left_null_projector(self.entries))
+
+
+def constraint_entries(g: ConstraintMatrix | np.ndarray) -> np.ndarray:
+    """The matrix G of a ConstraintMatrix, or an array-like G as a float array."""
+    return g.entries if isinstance(g, ConstraintMatrix) else np.asarray(g, dtype=float)
 
 
 @dataclass(frozen=True)

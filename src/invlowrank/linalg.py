@@ -30,9 +30,18 @@ class SvdFactors:
     sigma: np.ndarray
     v: np.ndarray
 
+    def select(self, idx) -> np.ndarray:
+        """Sum of sigma_i u_i v_i^T over ``idx``, a slice or a list of indices.
+
+        A slice is clipped to the sigma.size singular triples, so
+        ``select(slice(0, r))`` is the best rank-min(r, sigma.size) part of M.
+        """
+        if isinstance(idx, slice):
+            idx = slice(*idx.indices(self.sigma.size))
+        return (self.u[:, idx] * self.sigma[idx]) @ self.v[:, idx].T
+
     def reconstruct(self) -> np.ndarray:
-        k = self.sigma.size
-        return (self.u[:, :k] * self.sigma) @ self.v[:, :k].T
+        return self.select(slice(None))
 
 
 def _flip_to_positive(vecs: np.ndarray, start: int) -> None:
@@ -95,10 +104,7 @@ def best_rank_r(m: np.ndarray, r: int) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if r < 0 or r > min(m.shape):
         raise RankOutOfRange(f"rank {r} outside [0, {min(m.shape)}]")
-    if r == 0:
-        return np.zeros_like(m)
-    f = svd(m)
-    return (f.u[:, :r] * f.sigma[:r]) @ f.v[:, :r].T
+    return svd(m).select(slice(0, r))
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:

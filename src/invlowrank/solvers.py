@@ -1,18 +1,27 @@
 """Closed-form global optimizers for invariant rank-bounded regression.
 
-Three routes to an invariant low-rank map W minimizing (1/n)||WX - Y||_F^2:
+Three routes to an invariant low-rank map W minimizing (1/n)||WX - Y||_F^2
+run one pipeline. Each mode builds a whitened target Zbar and a right
+factor R; its optimum of rank <= r is the best rank-r part of Zbar (its top
+r singular triples; a bound r >= min(d0, dL) keeps them all), times R. With
+P = (X X^T)^(1/2), Z = Y X^T P^-1 and G~ = P^-1 G:
 
-* hard-wired: constrain W G = 0 and rank(W) <= r; the optimum is the best
-  rank-r approximation of the whitened, null-space-projected target, mapped
-  back through P^-1 with P = (X X^T)^(1/2);
-* regularized: penalize lambda ||W G||_F^2; the optimum whitens by
-  B(lambda) = (I + n lambda G~ G~^T)^(1/2) instead of projecting;
-* data augmentation: average the risk over the group orbit of X; the
-  optimum whitens by Q = (sum_g rho(g) X X^T rho(g)^T)^(1/2).
+* hard-wired (W G = 0): Zbar = Z (I - G~ G~^+), R = P^-1;
+* regularized (+ lambda ||W G||_F^2): Zbar = Z B(lambda)^-1,
+  R = B(lambda)^-1 P^-1, B(lambda) = (I + n lambda G~ G~^T)^(1/2). One
+  eigendecomposition G~ G~^T = V diag(mu) V^T serves every lambda:
+  B(lambda)^-1 = V diag((1 + n lambda mu)^(-1/2)) V^T, with the nullity(G)
+  smallest mu set to exactly 0. As lambda -> infinity, B(lambda)^-1 tends
+  to the projector onto the mu = 0 eigenvectors, which is I - G~ G~^+, so
+  the penalized optimum tends to the hard-wired one at a distance O(1/lambda);
+* data augmentation (risk averaged over the group orbit of X):
+  Zbar = |G| Y X^T Gbar^T Q^-1, R = Q^-1, Q = (sum_g rho(g) X X^T rho(g)^T)^(1/2).
 
-The module also traces the regularization path, enumerates every critical
-point of each problem on the rank-r variety, and computes the
-invariant/non-invariant decomposition of an arbitrary W.
+The regularization path whitens and factors G~ G~^T once, then takes one
+SVD per lambda. The critical points of each problem on the rank-r variety
+select every size-r index set of Zbar's singular triples instead of the top
+r. The module also computes the invariant/non-invariant decomposition of an
+arbitrary W.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +43,8 @@ from .errors import (
     SingularData,
     TooManySubsets,
 )
-from .groups import ConstraintMatrix, GroupRep, elements, group_average, invariance_constraint
+from .groups import (ConstraintMatrix, GroupRep, constraint_entries, elements, group_average,
+                     invariance_constraint)
 
 WARN_RANK_VACUOUS = "RankConstraintVacuous"
 WARN_RANK_ASSUMPTION = "RankAssumptionViolated"
@@ -139,81 +150,84 @@ class PathSample:
     warnings: tuple[str, ...]
 
 
-def _constraint_entries(g) -> np.ndarray:
-    return g.entries if isinstance(g, ConstraintMatrix) else np.asarray(g, dtype=float)
+class _Targets:
+    """The whitened target Zbar and right factor R of each mode, for one problem.
+
+    The whitening and the eigendecomposition of G~ G~^T run at most once per
+    instance, so the points of a regularization path share them.
+    """
+
+    def __init__(self, problem: RegressionProblem):
+        self.problem = problem
+
+    @cached_property
+    def _whitened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """P^-1, Z = Y X^T P^-1, and G~ = P^-1 G."""
+        problem = self.problem
+        p_inv = _pd_inv_sqrt(problem.x @ problem.x.T)
+        z = problem.y @ problem.x.T @ p_inv
+        return p_inv, z, p_inv @ problem.constraint.entries
+
+    @cached_property
+    def _penalty_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, V) with G~ G~^T = V diag(mu) V^T; the nullity(G) smallest mu are exactly 0."""
+        g_t = self._whitened[2]
+        mu, v = np.linalg.eigh(g_t @ g_t.T)
+        mu[:self.problem.constraint.nullity] = 0.0
+        return mu, v
+
+    def __call__(self, mode: str, lam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        problem = self.problem
+        if mode == "augmented":
+            if problem.rep is None:
+                raise ValueError("augmented mode needs a GroupRep on the problem")
+            rep = problem.rep
+            xxt = problem.x @ problem.x.T
+            q_inv = _pd_inv_sqrt(sum(g @ xxt @ g.T for g in elements(rep)))
+            return rep.order * problem.y @ problem.x.T @ group_average(rep).T @ q_inv, q_inv
+        p_inv, z, g_t = self._whitened
+        if mode == "constrained":
+            return z @ linalg.left_null_projector(g_t), p_inv
+        if mode == "regularized":
+            mu, v = self._penalty_eigh
+            b_inv = (v / np.sqrt(1.0 + problem.n * lam * mu)) @ v.T
+            return z @ b_inv, b_inv @ p_inv
+        raise ValueError(f"unknown mode {mode!r}")
 
 
-def _whiten(problem: RegressionProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P^-1, Z = Y X^T P^-1, and G~ = P^-1 G."""
+def _pd_inv_sqrt(m: np.ndarray) -> np.ndarray:
     try:
-        p_inv = linalg.pd_inv_sqrt(problem.x @ problem.x.T)
+        return linalg.pd_inv_sqrt(m)
     except NotPositiveDefinite as exc:
         raise SingularData(str(exc)) from exc
-    z = problem.y @ problem.x.T @ p_inv
-    g_t = p_inv @ problem.constraint.entries
-    return p_inv, z, g_t
 
 
-def _truncate(f: linalg.SvdFactors, r: int) -> np.ndarray:
-    if r == 0:
-        return np.zeros((f.u.shape[0], f.v.shape[0]))
-    return (f.u[:, :r] * f.sigma[:r]) @ f.v[:, :r].T
-
-
-def _truncation_warnings(f: linalg.SvdFactors, r: int, shape: tuple[int, int]) -> list[str]:
-    out = []
-    cutoff = linalg.rank_cutoff(f.sigma, shape)
-    if int(np.count_nonzero(f.sigma > cutoff)) <= r:
-        out.append(WARN_RANK_ASSUMPTION)
+def _rank_r(problem: RegressionProblem, zbar: np.ndarray, right: np.ndarray
+            ) -> tuple[np.ndarray, linalg.SvdFactors, list[str]]:
+    """W = (best rank-r part of Zbar) R, the SVD of Zbar, and the warnings."""
+    f, r = linalg.svd(zbar), problem.r
+    warnings = [WARN_RANK_VACUOUS] if WARN_RANK_VACUOUS in problem.flags else []
+    if int(np.count_nonzero(f.sigma > linalg.rank_cutoff(f.sigma, zbar.shape))) <= r:
+        warnings.append(WARN_RANK_ASSUMPTION)
     if 0 < r < f.sigma.size and f.sigma[r - 1] <= f.sigma[r] * (1.0 + tol.SPECTRAL_GAP_REL):
-        out.append(WARN_NON_UNIQUE)
-    return out
+        warnings.append(WARN_NON_UNIQUE)
+    return f.select(slice(0, r)) @ right, f, warnings
 
 
-def _problem_warnings(problem: RegressionProblem) -> list[str]:
-    return [WARN_RANK_VACUOUS] if WARN_RANK_VACUOUS in problem.flags else []
-
-
-def _finish(problem: RegressionProblem, w: np.ndarray, loss: float,
-            warnings: list[str]) -> RankBoundedSolution:
-    residual = float(np.linalg.norm(w @ problem.constraint.entries))
+def _solve(problem: RegressionProblem, mode: str, loss) -> RankBoundedSolution:
+    w, _, warnings = _rank_r(problem, *_Targets(problem)(mode, problem.lam))
     return RankBoundedSolution(
         w=w,
-        loss=float(loss),
+        loss=float(loss(w)),
         rank=linalg.numerical_rank(w),
-        invariance_residual=residual,
+        invariance_residual=float(np.linalg.norm(w @ problem.constraint.entries)),
         warnings=tuple(warnings),
     )
 
 
 def solve_constrained(problem: RegressionProblem) -> RankBoundedSolution:
-    """Global optimum of the hard-constrained problem (W G = 0, rank <= r).
-
-    Projects the whitened target Z onto the left null space of G~, truncates
-    to rank r, and maps back through P^-1.
-    """
-    p_inv, z, g_t = _whiten(problem)
-    zbar = z @ linalg.left_null_projector(g_t)
-    f = linalg.svd(zbar)
-    warnings = _problem_warnings(problem) + _truncation_warnings(f, problem.r, zbar.shape)
-    w = _truncate(f, problem.r) @ p_inv
-    loss = empirical_risk(w, problem.x, problem.y)
-    return _finish(problem, w, loss, warnings)
-
-
-def _regularized_with_spectrum(
-    problem: RegressionProblem, lam: float
-) -> tuple[RankBoundedSolution, np.ndarray]:
-    p_inv, z, g_t = _whiten(problem)
-    b_inv = linalg.pd_inv_sqrt(
-        np.eye(problem.d0) + problem.n * lam * (g_t @ g_t.T)
-    )
-    zbar = z @ b_inv
-    f = linalg.svd(zbar)
-    warnings = _problem_warnings(problem) + _truncation_warnings(f, problem.r, zbar.shape)
-    w = _truncate(f, problem.r) @ b_inv @ p_inv
-    loss = empirical_risk(w, problem.x, problem.y, g=problem.constraint, lam=lam)
-    return _finish(problem, w, loss, warnings), f.sigma
+    """Global optimum of the hard-constrained problem (W G = 0, rank <= r)."""
+    return _solve(problem, "constrained", lambda w: empirical_risk(w, problem.x, problem.y))
 
 
 def solve_regularized(problem: RegressionProblem) -> RankBoundedSolution:
@@ -222,24 +236,8 @@ def solve_regularized(problem: RegressionProblem) -> RankBoundedSolution:
     The reported loss is the penalized objective. At lambda = 0 this is the
     plain reduced-rank regression solution.
     """
-    solution, _ = _regularized_with_spectrum(problem, problem.lam)
-    return solution
-
-
-def _augmented_target(problem: RegressionProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Z_da = |G| Y X^T Gbar^T Q^-1 and the right factor Q^-1."""
-    if problem.rep is None:
-        raise ValueError("augmented mode needs a GroupRep on the problem")
-    rep = problem.rep
-    xxt = problem.x @ problem.x.T
-    q2 = sum(g @ xxt @ g.T for g in elements(rep))
-    try:
-        q_inv = linalg.pd_inv_sqrt(q2)
-    except NotPositiveDefinite as exc:
-        raise SingularData(str(exc)) from exc
-    gbar = group_average(rep)
-    zbar = rep.order * problem.y @ problem.x.T @ gbar.T @ q_inv
-    return zbar, q_inv
+    return _solve(problem, "regularized", lambda w: empirical_risk(
+        w, problem.x, problem.y, g=problem.constraint, lam=problem.lam))
 
 
 def augmented_risk(w: np.ndarray, x: np.ndarray, y: np.ndarray, rep: GroupRep) -> float:
@@ -255,12 +253,8 @@ def solve_augmented(problem: RegressionProblem) -> RankBoundedSolution:
     For unitary representations the result is an invariant map and equals
     the hard-constrained optimum.
     """
-    zbar, q_inv = _augmented_target(problem)
-    f = linalg.svd(zbar)
-    warnings = _problem_warnings(problem) + _truncation_warnings(f, problem.r, zbar.shape)
-    w = _truncate(f, problem.r) @ q_inv
-    loss = augmented_risk(w, problem.x, problem.y, problem.rep)
-    return _finish(problem, w, loss, warnings)
+    return _solve(problem, "augmented",
+                  lambda w: augmented_risk(w, problem.x, problem.y, problem.rep))
 
 
 def regularization_path(problem: RegressionProblem, lambdas) -> list[PathSample]:
@@ -278,38 +272,18 @@ def regularization_path(problem: RegressionProblem, lambdas) -> list[PathSample]
         raise InvalidGrid("lambda grid must contain positive values only")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise InvalidGrid("lambda grid must be strictly increasing")
-    w_inv = solve_constrained(problem).w
+    targets = _Targets(problem)
+    w_inv, _, _ = _rank_r(problem, *targets("constrained"))
+    r = problem.r
     samples = []
     for lam in lams:
-        solution, sigma = _regularized_with_spectrum(problem, lam)
-        warnings = list(solution.warnings)
-        r = problem.r
+        w, f, warnings = _rank_r(problem, *targets("regularized", lam))
+        sigma = f.sigma
         if 0 < r < sigma.size and sigma[r - 1] - sigma[r] < tol.SPECTRAL_GAP_REL * sigma[0]:
             warnings.append(WARN_GAP_SMALL)
-        samples.append(
-            PathSample(
-                lam=lam,
-                w=solution.w,
-                distance_to_inv=float(np.linalg.norm(solution.w - w_inv)),
-                warnings=tuple(warnings),
-            )
-        )
+        samples.append(PathSample(lam=lam, w=w, distance_to_inv=float(np.linalg.norm(w - w_inv)),
+                                  warnings=tuple(warnings)))
     return samples
-
-
-def _mode_target(problem: RegressionProblem, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    if mode == "constrained":
-        p_inv, z, g_t = _whiten(problem)
-        return z @ linalg.left_null_projector(g_t), p_inv
-    if mode == "augmented":
-        return _augmented_target(problem)
-    if mode == "regularized":
-        p_inv, z, g_t = _whiten(problem)
-        b_inv = linalg.pd_inv_sqrt(
-            np.eye(problem.d0) + problem.n * problem.lam * (g_t @ g_t.T)
-        )
-        return z @ b_inv, b_inv @ p_inv
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[CriticalPoint]:
@@ -321,7 +295,7 @@ def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[Cri
     global minimum. Requires pairwise-distinct nonzero singular values;
     otherwise the critical set is not finite.
     """
-    zbar, right = _mode_target(problem, mode)
+    zbar, right = _Targets(problem)(mode, problem.lam)
     f = linalg.svd(zbar)
     cutoff = linalg.rank_cutoff(f.sigma, zbar.shape)
     k = int(np.count_nonzero(f.sigma > cutoff))
@@ -340,20 +314,15 @@ def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[Cri
                 f"{tol.SPECTRAL_GAP_REL:.0e}"
             )
     total_sq = float(np.sum(f.sigma[:k] ** 2))
-    points = []
-    global_set = tuple(range(r))
-    for subset in itertools.combinations(range(k), r):
-        idx = list(subset)
-        w_t = (f.u[:, idx] * f.sigma[idx]) @ f.v[:, idx].T if r else np.zeros_like(zbar)
-        loss = total_sq - float(np.sum(f.sigma[idx] ** 2))
-        points.append(
-            CriticalPoint(
-                w=w_t @ right,
-                index_set=subset,
-                loss=loss,
-                is_global_min=subset == global_set,
-            )
+    points = [
+        CriticalPoint(
+            w=f.select(list(subset)) @ right,
+            index_set=subset,
+            loss=total_sq - float(np.sum(f.sigma[list(subset)] ** 2)),
+            is_global_min=subset == tuple(range(r)),
         )
+        for subset in itertools.combinations(range(k), r)
+    ]
     points.sort(key=lambda p: p.loss)
     return points
 
@@ -368,7 +337,7 @@ def empirical_risk(w: np.ndarray, x: np.ndarray, y: np.ndarray,
         raise ShapeMismatch(f"W {w.shape}, X {x.shape}, Y {y.shape} do not chain")
     risk = float(np.linalg.norm(w @ x - y) ** 2) / x.shape[1]
     if g is not None:
-        entries = _constraint_entries(g)
+        entries = constraint_entries(g)
         if entries.shape[0] != w.shape[1]:
             raise ShapeMismatch(f"constraint rows {entries.shape[0]} != d0 {w.shape[1]}")
         risk += lam * float(np.linalg.norm(w @ entries) ** 2)
@@ -384,10 +353,13 @@ def invariance_decomposition(w: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, 
     as 1 for W = 0).
     """
     w = np.asarray(w, dtype=float)
-    entries = _constraint_entries(g)
+    entries = constraint_entries(g)
     if w.shape[1] != entries.shape[0]:
         raise ShapeMismatch(f"W cols {w.shape[1]} != constraint rows {entries.shape[0]}")
-    w_inv = w @ linalg.left_null_projector(entries)
+    if isinstance(g, ConstraintMatrix):
+        w_inv = w @ g.null_projector
+    else:
+        w_inv = w @ linalg.left_null_projector(entries)
     w_perp = w - w_inv
     total = float(np.linalg.norm(w) ** 2)
     ratio = 1.0 if total == 0.0 else float(np.linalg.norm(w_inv) ** 2) / total

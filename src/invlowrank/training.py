@@ -29,8 +29,8 @@ from .errors import (
     OrbitMeanZero,
     ShapeMismatch,
 )
-from .groups import ConstraintMatrix, GroupRep, elements, invariance_constraint
-from .solvers import invariance_decomposition
+from .groups import ConstraintMatrix, GroupRep, constraint_entries, elements, invariance_constraint
+from .solvers import empirical_risk, invariance_decomposition
 
 MODES = ("augmented", "hardwired", "regularized")
 LOSSES = ("mse", "cross_entropy")
@@ -150,12 +150,8 @@ def _softmax_columns(logits: np.ndarray) -> np.ndarray:
 
 def mse_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                   lam: float = 0.0, g=None) -> float:
-    n = x.shape[1]
-    risk = float(np.linalg.norm(w @ x - y) ** 2) / n
-    if g is not None and lam:
-        entries = g.entries if isinstance(g, ConstraintMatrix) else g
-        risk += lam * float(np.linalg.norm(w @ entries) ** 2)
-    return risk
+    """(1/n)||W X - Y||_F^2, plus lambda ||W G||_F^2 when lambda is nonzero."""
+    return empirical_risk(w, x, y, g=g if lam else None, lam=lam)
 
 
 def cross_entropy_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -165,8 +161,7 @@ def cross_entropy_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray,
     log_z = np.log(np.exp(shifted).sum(axis=0))
     value = float(np.mean(log_z - np.sum(shifted * y, axis=0)))
     if g is not None and lam:
-        entries = g.entries if isinstance(g, ConstraintMatrix) else g
-        value += lam * float(np.linalg.norm(w @ entries) ** 2)
+        value += lam * float(np.linalg.norm(w @ constraint_entries(g)) ** 2)
     return value
 
 
@@ -190,7 +185,7 @@ def gradient(params: LinearNetParams, x: np.ndarray, y: np.ndarray,
         _check_one_hot(y)
         dw = (_softmax_columns(w_end @ x) - y) @ x.T / n
     if g is not None and lam:
-        entries = g.entries if isinstance(g, ConstraintMatrix) else np.asarray(g, dtype=float)
+        entries = constraint_entries(g)
         dw = dw + 2.0 * lam * w_end @ entries @ entries.T
     weights = params.weights
     length = len(weights)

@@ -109,8 +109,15 @@ def test_regularized_lambda_zero_matches_unconstrained():
 def test_regularized_large_lambda_approaches_constrained():
     prob = random_problem(seed=5)
     w_inv = solve_constrained(prob).w
-    w_reg = solve_regularized(with_lambda(prob, 1e8)).w
-    assert np.linalg.norm(w_reg - w_inv) / np.linalg.norm(w_inv) < 1e-3
+    scaled = {}
+    for lam in (1e4, 1e8, 1e12):
+        w_reg = solve_regularized(with_lambda(prob, lam)).w
+        distance = np.linalg.norm(w_reg - w_inv) / np.linalg.norm(w_inv)
+        assert distance < 1e-3
+        scaled[lam] = lam * distance
+    # the penalized optimum approaches the hard-wired one as 1/lambda
+    for lam in (1e8, 1e12):
+        assert abs(scaled[lam] - scaled[1e4]) <= 0.1 * scaled[1e4]
 
 
 def test_regularized_beats_factored_descent_oracle():
@@ -204,6 +211,21 @@ def test_augmented_loss_matches_orbit_average():
     prob = random_problem(seed=14)
     sol = solve_augmented(prob)
     assert abs(sol.loss - augmented_risk(sol.w, prob.x, prob.y, prob.rep)) < 1e-14
+
+
+def test_rank_bound_above_min_dimension_is_inactive():
+    # r > min(d0, dL) keeps every singular triple, exactly as r = dL does
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((6, 18))
+    y = rng.standard_normal((3, 18))
+    rep = groups.cyclic_permutation(6)
+    at_dl = RegressionProblem(x=x, y=y, r=3, rep=rep, lam=0.1)
+    above = RegressionProblem(x=x, y=y, r=4, rep=rep, lam=0.1)
+    for solver in (solve_constrained, solve_regularized, solve_augmented):
+        assert np.array_equal(solver(above).w, solver(at_dl).w)
+    grid = [0.1, 1.0, 10.0]
+    for a, b in zip(regularization_path(above, grid), regularization_path(at_dl, grid)):
+        assert np.array_equal(a.w, b.w)
 
 
 def test_path_rejects_bad_grids():
