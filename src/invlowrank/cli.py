@@ -9,6 +9,7 @@ and byte-identical across reruns of the same config. Exit codes: 0 success,
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 from pathlib import Path
@@ -48,24 +49,58 @@ SOLVE_MODES = ("constrained", "regularized", "augmented")
 TRAIN_MODES = ("augmented", "hardwired", "regularized")
 
 
-def common_options(fn):
-    fn = click.option("--seed", "seed_override", type=int, default=None,
-                      help="Override the config seed.")(fn)
-    fn = click.option("--out", "out_dir", default=".", help="Output directory.")(fn)
-    fn = click.option("--config", "config_path", default=None, help="Experiment config file.")(fn)
-    return fn
+@click.group()
+def main():
+    """Invariant rank-bounded regression experiment harness."""
 
 
-def _load(config_path: str | None) -> ExperimentConfig:
-    if config_path is None:
-        raise InvalidConfig("missing required option --config")
-    return load_config(config_path)
+def command(name: str):
+    """Register ``body(cfg, out)`` as the config-driven subcommand ``name``.
+
+    The subcommand takes --config, --out and --seed. It loads the config, lets
+    --seed override the config seed, creates the output directory, runs the
+    body, and logs the elapsed time to stderr when the body returns.
+    """
+    def register(body):
+        @main.command(name)
+        @click.option("--config", "config_path", default=None, help="Experiment config file.")
+        @click.option("--out", "out_dir", default=".", help="Output directory.")
+        @click.option("--seed", "seed_override", type=click.IntRange(min=0), default=None,
+                      help="Override the config seed.")
+        @functools.wraps(body)
+        def run(config_path, out_dir, seed_override):
+            started = time.monotonic()
+            if config_path is None:
+                raise InvalidConfig("missing required option --config")
+            cfg = load_config(config_path)
+            if seed_override is not None:
+                cfg.seed = seed_override
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            body(cfg, out)
+            click.echo(f"elapsed={time.monotonic() - started:.3f}s", err=True)
+
+        return run
+
+    return register
 
 
-def _seed(cfg: ExperimentConfig, seed_override: int | None) -> int:
-    if seed_override is not None:
-        return seed_override
-    return cfg.require("seed")
+def _mode(cfg: ExperimentConfig, modes: tuple[str, ...]) -> tuple[str, float]:
+    """The configured mode, one of ``modes``, and its lambda (0 unless regularized)."""
+    mode = cfg.require("mode")
+    if mode not in modes:
+        raise InvalidConfig(f"mode must be one of {modes}, got {mode!r}")
+    return mode, cfg.require("lambda") if mode == "regularized" else 0.0
+
+
+def _read_data(cfg: ExperimentConfig, out: Path) -> tuple[np.ndarray, np.ndarray, GroupRep]:
+    """X and Y (from x_file/y_file, default <out>/X.mat and <out>/Y.mat) and the group."""
+    rep = resolve_group(cfg)
+    x = read_matrix(_resolve_input(cfg, "x_file", out, "X.mat"))
+    y = read_matrix(_resolve_input(cfg, "y_file", out, "Y.mat"))
+    if x.shape[0] != rep.dim:
+        raise InvalidConfig(f"X has {x.shape[0]} rows but the group acts on R^{rep.dim}")
+    return x, y, rep
 
 
 def _resolve_input(cfg: ExperimentConfig, key: str, out_dir: Path, default_name: str) -> Path:
@@ -76,13 +111,9 @@ def _resolve_input(cfg: ExperimentConfig, key: str, out_dir: Path, default_name:
     return path
 
 
-def _load_problem(cfg: ExperimentConfig, out_dir: Path,
-                  lam: float | None = None) -> tuple[RegressionProblem, GroupRep]:
-    rep = resolve_group(cfg)
-    x = read_matrix(_resolve_input(cfg, "x_file", out_dir, "X.mat"))
-    y = read_matrix(_resolve_input(cfg, "y_file", out_dir, "Y.mat"))
-    r = cfg.require("r")
-    return RegressionProblem(x=x, y=y, r=r, rep=rep, lam=lam or 0.0), rep
+def _load_problem(cfg: ExperimentConfig, out: Path, lam: float = 0.0) -> RegressionProblem:
+    x, y, rep = _read_data(cfg, out)
+    return RegressionProblem(x=x, y=y, r=cfg.require("r"), rep=rep, lam=lam)
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
@@ -92,63 +123,35 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
             fh.write(row + "\n")
 
 
-def _echo_elapsed(started: float) -> None:
-    click.echo(f"elapsed={time.monotonic() - started:.3f}s", err=True)
-
-
-@click.group()
-def main():
-    """Invariant rank-bounded regression experiment harness."""
-
-
-@main.command("gen-data")
-@common_options
-def gen_data_cmd(config_path, out_dir, seed_override):
+@command("gen-data")
+def gen_data_cmd(cfg: ExperimentConfig, out: Path):
     """Write synthetic X.mat, Y.mat, Wtrue.mat for the configured group."""
-    started = time.monotonic()
-    cfg = _load(config_path)
-    seed = _seed(cfg, seed_override)
-    paths = write_dataset(cfg, Path(out_dir), seed)
+    seed = cfg.require("seed")
+    paths = write_dataset(cfg, out, seed)
     click.echo(f"gen-data group={cfg.group} dL={cfg.dL} n={cfg.n} seed={seed} "
                f"files={','.join(p.name for p in paths)}")
-    _echo_elapsed(started)
 
 
-@main.command("solve")
-@common_options
-def solve_cmd(config_path, out_dir, seed_override):
+@command("solve")
+def solve_cmd(cfg: ExperimentConfig, out: Path):
     """Solve the configured mode in closed form and write W.mat."""
-    started = time.monotonic()
-    cfg = _load(config_path)
-    mode = cfg.require("mode")
-    if mode not in SOLVE_MODES:
-        raise InvalidConfig(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lam = cfg.require("lambda") if mode == "regularized" else 0.0
-    problem, _ = _load_problem(cfg, out, lam=lam)
+    mode, lam = _mode(cfg, SOLVE_MODES)
     solver = {"constrained": solve_constrained,
               "regularized": solve_regularized,
               "augmented": solve_augmented}[mode]
-    solution = solver(problem)
+    solution = solver(_load_problem(cfg, out, lam))
     write_matrix(out / "W.mat", solution.w)
     warnings = ",".join(solution.warnings) if solution.warnings else "-"
     click.echo(f"mode={mode} loss={format_float(solution.loss)} rank={solution.rank} "
                f"invariance_residual={format_float(solution.invariance_residual)} "
                f"warnings={warnings}")
-    _echo_elapsed(started)
 
 
-@main.command("path")
-@common_options
-def path_cmd(config_path, out_dir, seed_override):
+@command("path")
+def path_cmd(cfg: ExperimentConfig, out: Path):
     """Sweep the lambda grid and write path.csv."""
-    started = time.monotonic()
-    cfg = _load(config_path)
     grid = cfg.require("lambda_grid")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    problem, _ = _load_problem(cfg, out)
+    problem = _load_problem(cfg, out)
     samples = regularization_path(problem, grid)
     g = problem.constraint
     rows = []
@@ -164,23 +167,13 @@ def path_cmd(config_path, out_dir, seed_override):
     _write_csv(out / "path.csv", "lambda,loss,invariance_residual,distance_to_inv", rows)
     click.echo(f"path points={len(samples)} "
                f"final_distance_to_inv={format_float(samples[-1].distance_to_inv)}")
-    _echo_elapsed(started)
 
 
-@main.command("critical-points")
-@common_options
-def critical_points_cmd(config_path, out_dir, seed_override):
+@command("critical-points")
+def critical_points_cmd(cfg: ExperimentConfig, out: Path):
     """Enumerate every critical point and write critical.csv (loss ascending)."""
-    started = time.monotonic()
-    cfg = _load(config_path)
-    mode = cfg.require("mode")
-    if mode not in SOLVE_MODES:
-        raise InvalidConfig(f"mode must be one of {SOLVE_MODES}, got {mode!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lam = cfg.require("lambda") if mode == "regularized" else 0.0
-    problem, _ = _load_problem(cfg, out, lam=lam)
-    points = enumerate_critical_points(problem, mode)
+    mode, lam = _mode(cfg, SOLVE_MODES)
+    points = enumerate_critical_points(_load_problem(cfg, out, lam), mode)
     rows = []
     for p in points:
         index_set = "|".join(str(i) for i in p.index_set) if p.index_set else "-"
@@ -188,35 +181,17 @@ def critical_points_cmd(config_path, out_dir, seed_override):
     _write_csv(out / "critical.csv", "index_set,loss,is_global_min", rows)
     click.echo(f"critical-points mode={mode} count={len(points)} "
                f"min_loss={format_float(points[0].loss)}")
-    _echo_elapsed(started)
 
 
-@main.command("train")
-@common_options
-def train_cmd(config_path, out_dir, seed_override):
+@command("train")
+def train_cmd(cfg: ExperimentConfig, out: Path):
     """Train a linear net in the configured mode; write trainlog.csv and Wfinal.mat."""
-    started = time.monotonic()
-    cfg = _load(config_path)
-    mode = cfg.require("mode")
-    if mode not in TRAIN_MODES:
-        raise InvalidConfig(f"mode must be one of {TRAIN_MODES}, got {mode!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rep = resolve_group(cfg)
-    x = read_matrix(_resolve_input(cfg, "x_file", out, "X.mat"))
-    y = read_matrix(_resolve_input(cfg, "y_file", out, "Y.mat"))
-    if x.shape[0] != rep.dim:
-        raise InvalidConfig(f"X has {x.shape[0]} rows but the group acts on R^{rep.dim}")
-    seed = _seed(cfg, seed_override)
-    train_config = TrainConfig(
-        mode=mode,
-        epochs=cfg.require("epochs"),
-        seed=seed,
-        loss=cfg.loss or "mse",
-        learning_rate=cfg.learning_rate if cfg.learning_rate is not None else 1e-3,
-        init_scale=cfg.init_scale if cfg.init_scale is not None else 1.0,
-        lam=cfg.require("lambda") if mode == "regularized" else 0.0,
-    )
+    mode, lam = _mode(cfg, TRAIN_MODES)
+    x, y, rep = _read_data(cfg, out)
+    optional = {key: getattr(cfg, key) for key in ("loss", "learning_rate", "init_scale")
+                if getattr(cfg, key) is not None}
+    train_config = TrainConfig(mode=mode, epochs=cfg.require("epochs"), seed=cfg.require("seed"),
+                               lam=lam, **optional)
     constraint = invariance_constraint(rep)
     basis = invariant_basis(constraint) if mode == "hardwired" else None
     log = train(train_config, cfg.require("hidden"), x, y,
@@ -238,7 +213,6 @@ def train_cmd(config_path, out_dir, seed_override):
                f"final_objective={format_float(last.objective)} "
                f"final_w_perp={format_float(last.w_perp_frob)} "
                f"final_accuracy={format_float(last.accuracy)}")
-    _echo_elapsed(started)
 
 
 def _ntk_suites(rep: GroupRep, width: int, trials: int, seed: int):
@@ -297,22 +271,15 @@ def _ntk_suites(rep: GroupRep, width: int, trials: int, seed: int):
         yield "augmented_predictor", t, value, bound, value <= bound
 
 
-@main.command("ntk-check")
-@common_options
-def ntk_check_cmd(config_path, out_dir, seed_override):
+@command("ntk-check")
+def ntk_check_cmd(cfg: ExperimentConfig, out: Path):
     """Run the tangent-kernel property suites; write ntk.csv; exit 2 on failure."""
-    started = time.monotonic()
-    cfg = _load(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rep = resolve_group(cfg)
-    width = cfg.require("width")
-    trials = cfg.require("trials")
-    seed = _seed(cfg, seed_override)
     rows = []
     failed: dict[str, int] = {}
     worst: dict[str, float] = {}
-    for suite, trial, value, bound, ok in _ntk_suites(rep, width, trials, seed):
+    suites = _ntk_suites(rep, cfg.require("width"), cfg.require("trials"), cfg.require("seed"))
+    for suite, trial, value, bound, ok in suites:
         rows.append(f"{suite},{trial},{format_float(value)},{format_float(bound)},"
                     f"{'pass' if ok else 'fail'}")
         worst[suite] = max(worst.get(suite, 0.0), value)
@@ -322,7 +289,6 @@ def ntk_check_cmd(config_path, out_dir, seed_override):
     for suite in worst:
         status = "FAIL" if suite in failed else "PASS"
         click.echo(f"ntk suite={suite} max_discrepancy={format_float(worst[suite])} {status}")
-    _echo_elapsed(started)
     if failed:
         raise NumericalError(f"ntk suites failed: {', '.join(sorted(failed))}")
 
@@ -351,11 +317,7 @@ def entry(argv=None) -> int:
     try:
         main.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
-        code = exc.exit_code
-        sys.exit(code)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(1)
+        sys.exit(exc.exit_code)
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(1)

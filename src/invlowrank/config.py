@@ -9,21 +9,15 @@ resolved against the config file's directory.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .errors import InvalidConfig
 from .groups import GroupRep, c4_image_rotation, cyclic_permutation, rep_from_generator, rotation_2d
 from .matio import read_matrix
-
-_INT_KEYS = {"d0", "dL", "r", "n", "seed", "epochs", "width", "trials"}
-_FLOAT_KEYS = {"lambda", "noise_sigma", "learning_rate", "init_scale"}
-_BOOL_KEYS = {"invariant_wtrue"}
-_STR_KEYS = {"mode", "group", "loss", "x_file", "y_file"}
-_LIST_KEYS = {"hidden", "lambda_grid"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS | _LIST_KEYS
-
 
 @dataclass
 class ExperimentConfig:
@@ -52,40 +46,69 @@ class ExperimentConfig:
     base_dir: Path = Path(".")
 
     def require(self, key: str):
-        value = getattr(self, "lam" if key == "lambda" else key)
+        value = getattr(self, _attr(key))
         if value is None:
             raise InvalidConfig(f"missing required config key: {key}")
         return value
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise InvalidConfig(f"key {key}: expected true/false, got {raw!r}")
+def _attr(key: str) -> str:
+    """The ExperimentConfig field that holds a config key."""
+    return "lam" if key == "lambda" else key
 
 
-def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
-    if raw.startswith("geom:"):
-        parts = raw[5:].split(":")
-        if len(parts) != 3:
-            raise InvalidConfig(f"key {key}: geometric grid syntax is geom:start:stop:count")
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise InvalidConfig(f"key {key}: bad geometric grid {raw!r}") from exc
-        if count < 1 or start <= 0 or stop <= start:
-            raise InvalidConfig(f"key {key}: geometric grid needs 0 < start < stop, count >= 1")
-        if count == 1:
-            return (start,)
-        ratio = (stop / start) ** (1.0 / (count - 1))
-        return tuple(start * ratio ** i for i in range(count))
-    try:
+@dataclass(frozen=True)
+class _Key:
+    """How one config key's value is parsed, and which parsed values are valid."""
+
+    parse: Callable[[str], object]
+    valid: Callable[[object], bool]
+    expects: str  # the valid values, as the error message states them
+
+
+def _integer(low: int) -> _Key:
+    return _Key(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in raw.replace(",", " ").split())
+
+
+def _float_list(raw: str) -> tuple[float, ...]:
+    if not raw.startswith("geom:"):
         return tuple(float(p) for p in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise InvalidConfig(f"key {key}: expected a comma-separated number list, got {raw!r}") from exc
+    start, stop, count = raw[5:].split(":")  # ValueError unless exactly three parts
+    start, stop, count = float(start), float(stop), int(count)
+    if count < 1 or start <= 0 or stop <= start:
+        raise ValueError(raw)
+    if count == 1:
+        return (start,)
+    ratio = (stop / start) ** (1.0 / (count - 1))
+    return tuple(start * ratio ** i for i in range(count))
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_TEXT = _Key(str, lambda v: True, "text")
+_NONNEGATIVE = _Key(float, lambda v: math.isfinite(v) and v >= 0, "a finite real >= 0")
+_POSITIVE = _Key(float, lambda v: math.isfinite(v) and v > 0, "a finite real > 0")
+
+# Every config key, its parser and its valid range. The lambda grid's
+# positivity and order are checked by regularization_path (InvalidGrid).
+KEYS: dict[str, _Key] = {
+    "mode": _TEXT, "group": _TEXT, "loss": _TEXT, "x_file": _TEXT, "y_file": _TEXT,
+    "d0": _integer(1), "dL": _integer(1), "n": _integer(1), "epochs": _integer(1),
+    "trials": _integer(1), "r": _integer(0), "seed": _integer(0),
+    # the Monte-Carlo bound needs a standard error over at least two units
+    "width": _integer(2),
+    "hidden": _Key(_int_list, lambda v: all(h >= 1 for h in v),
+                   "a comma list of integers >= 1"),
+    "lambda": _NONNEGATIVE, "noise_sigma": _NONNEGATIVE,
+    "learning_rate": _POSITIVE, "init_scale": _POSITIVE,
+    "lambda_grid": _Key(_float_list, lambda v: all(math.isfinite(x) for x in v),
+                        "a comma list of finite reals or geom:<start>:<stop>:<count> "
+                        "with 0 < start < stop and count >= 1"),
+    "invariant_wtrue": _Key(lambda raw: _BOOLS[raw.lower()], lambda v: True, "true or false"),
+}
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
@@ -99,25 +122,20 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise InvalidConfig(f"line {lineno}: unknown config key: {key}")
         if not raw:
             raise InvalidConfig(f"line {lineno}: key {key} has no value")
+        spec = KEYS[key]
         try:
-            if key in _INT_KEYS:
-                setattr(cfg, key, int(raw))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, "lam" if key == "lambda" else key, float(raw))
-            elif key in _BOOL_KEYS:
-                setattr(cfg, key, _parse_bool(key, raw))
-            elif key == "hidden":
-                cfg.hidden = tuple(int(p) for p in raw.replace(",", " ").split())
-            elif key == "lambda_grid":
-                cfg.lambda_grid = _parse_float_list(key, raw)
-            else:
-                setattr(cfg, key, raw)
-        except ValueError as exc:
-            raise InvalidConfig(f"line {lineno}: key {key} has a bad value {raw!r}") from exc
+            value = spec.parse(raw)
+        except (ValueError, KeyError, OverflowError):
+            ok = False
+        else:
+            ok = spec.valid(value)
+        if not ok:
+            raise InvalidConfig(f"line {lineno}: key {key} must be {spec.expects}, got {raw!r}")
+        setattr(cfg, _attr(key), value)
     return cfg
 
 
@@ -125,7 +143,11 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise InvalidConfig(f"config file not found: {path}")
-    return parse_config_text(path.read_text(), base_dir=path.parent)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"config file is not UTF-8 text: {path}") from exc
+    return parse_config_text(text, base_dir=path.parent)
 
 
 def resolve_group(cfg: ExperimentConfig) -> GroupRep:

@@ -14,8 +14,11 @@ import numpy as np
 from .errors import MatrixFormatError
 
 
+FLOAT_FORMAT = "%.17g"
+
+
 def format_float(v: float) -> str:
-    return "%.17g" % v
+    return FLOAT_FORMAT % v
 
 
 def write_matrix(path: str | os.PathLike, m: np.ndarray) -> None:
@@ -26,14 +29,18 @@ def write_matrix(path: str | os.PathLike, m: np.ndarray) -> None:
         raise MatrixFormatError("matrix entries must be finite")
     rows, cols = m.shape
     lines = [f"{rows} {cols}"]
-    lines.extend(" ".join(format_float(v) for v in row) for row in m)
+    template = " ".join([FLOAT_FORMAT] * cols)
+    lines.extend(template % tuple(row) for row in m.tolist())
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
-    with open(path) as fh:
-        lines = [line.strip() for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not a UTF-8 text file") from exc
     lines = [line for line in lines if line]
     if not lines:
         raise MatrixFormatError(f"{path}: empty matrix file")

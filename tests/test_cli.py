@@ -325,3 +325,92 @@ def test_custom_group_round_trip(tmp_path, capsys):
     assert code == 0
     fields = dict(part.split("=", 1) for part in out.split())
     assert float(fields["invariance_residual"]) < 1e-9
+
+
+def assert_config_error(code, err, name):
+    """Exit 1 with exactly one ``error:`` line, naming the offending key or file."""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1, err
+    assert len(errors) == 1, err
+    assert name in errors[0]
+    assert "Traceback" not in err
+
+
+def gen_data(tmp_path, capsys):
+    conf = write_config(tmp_path / "data.conf", **BASE)
+    code, _, _ = run_cli(["gen-data", "--config", conf, "--out", str(tmp_path)], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "path", "critical-points"])
+def test_negative_rank_exit_1(tmp_path, capsys, command):
+    gen_data(tmp_path, capsys)
+    conf = write_config(tmp_path / "exp.conf", mode="constrained",
+                        lambda_grid="geom:1e-2:1e2:3", **{**BASE, "r": -1})
+    code, _, err = run_cli([command, "--config", conf, "--out", str(tmp_path)], capsys)
+    assert_config_error(code, err, "r")
+
+
+@pytest.mark.parametrize("command", ["solve", "critical-points"])
+@pytest.mark.parametrize("lam", ["-1", "inf"])
+def test_bad_lambda_exit_1(tmp_path, capsys, command, lam):
+    gen_data(tmp_path, capsys)
+    conf = write_config(tmp_path / "exp.conf", mode="regularized", **{**BASE, "lambda": lam})
+    code, _, err = run_cli([command, "--config", conf, "--out", str(tmp_path)], capsys)
+    assert_config_error(code, err, "lambda")
+
+
+NTK = dict(group="c4_image:2", width=64, trials=2, seed=3)
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "ntk-check"])
+def test_negative_config_seed_exit_1(tmp_path, capsys, command):
+    gen_data(tmp_path, capsys)
+    keys = NTK if command == "ntk-check" else dict(BASE, mode="augmented", hidden=3, epochs=2)
+    conf = write_config(tmp_path / "exp.conf", **{**keys, "seed": -5})
+    code, _, err = run_cli([command, "--config", conf, "--out", str(tmp_path)], capsys)
+    assert_config_error(code, err, "seed")
+
+
+def test_negative_seed_option_exit_1(tmp_path, capsys):
+    conf = write_config(tmp_path / "exp.conf", **BASE)
+    code, _, err = run_cli(["gen-data", "--config", conf, "--out", str(tmp_path),
+                            "--seed", "-5"], capsys)
+    assert_config_error(code, err, "--seed")
+
+
+@pytest.mark.parametrize("key, value", [("width", 0), ("width", 1), ("trials", 0)])
+def test_ntk_check_degenerate_sizes_exit_1(tmp_path, capsys, key, value):
+    conf = write_config(tmp_path / "ntk.conf", **{**NTK, key: value})
+    code, _, err = run_cli(["ntk-check", "--config", conf, "--out", str(tmp_path)], capsys)
+    assert_config_error(code, err, key)
+    assert not (tmp_path / "ntk.csv").exists()
+
+
+def test_gen_data_zero_outputs_exit_1(tmp_path, capsys):
+    conf = write_config(tmp_path / "exp.conf", **{**BASE, "dL": 0})
+    code, _, err = run_cli(["gen-data", "--config", conf, "--out", str(tmp_path)], capsys)
+    assert_config_error(code, err, "dL")
+    assert not (tmp_path / "Y.mat").exists()
+
+
+def test_train_nan_learning_rate_exit_1(tmp_path, capsys):
+    gen_data(tmp_path, capsys)
+    conf = write_config(tmp_path / "exp.conf", mode="augmented", hidden=3, epochs=2,
+                        learning_rate="nan", **BASE)
+    code, _, err = run_cli(["train", "--config", conf, "--out", str(tmp_path)], capsys)
+    assert_config_error(code, err, "learning_rate")
+
+
+def test_non_utf8_matrix_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.mat"
+    bad.write_bytes(b"\xff\xfe1 1\n1\n")
+    code, _, err = run_cli(["compare", str(bad), str(bad)], capsys)
+    assert_config_error(code, err, "bad.mat")
+
+
+def test_non_utf8_config_exit_1(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"group = c4_image:2\n\xff\xfe = 1\n")
+    code, _, err = run_cli(["gen-data", "--config", str(conf), "--out", str(tmp_path)], capsys)
+    assert_config_error(code, err, "bad.conf")

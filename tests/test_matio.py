@@ -57,3 +57,10 @@ def test_read_rejects_malformed(tmp_path):
         path.write_text(text)
         with pytest.raises(MatrixFormatError):
             read_matrix(path)
+
+
+def test_read_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.mat"
+    path.write_bytes(b"\xff\xfe1 1\n1\n")
+    with pytest.raises(MatrixFormatError, match="bad.mat"):
+        read_matrix(path)
