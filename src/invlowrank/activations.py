@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 LEAKY_SLOPE = 0.01
 
 
@@ -57,4 +59,4 @@ def get_activation(name: str):
     try:
         return ACTIVATIONS[name]
     except KeyError:
-        raise ValueError(f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}")
+        raise InvalidArgument(f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}")

@@ -20,7 +20,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config, resolve_group
 from .datagen import write_dataset
 from .errors import ConfigError, InvalidConfig, NotUnitary, NumericalError
-from .groups import GroupRep, elements, invariance_constraint, invariant_basis, is_unitary
+from .groups import GroupRep, elements, is_unitary
 from .matio import format_float, read_matrix, write_matrix
 from .ntk import (
     build_kernel_matrix,
@@ -43,10 +43,9 @@ from .solvers import (
     solve_constrained,
     solve_regularized,
 )
-from .training import TrainConfig, augment_dataset, train
+from .training import MODES as TRAIN_MODES, TrainConfig, augment_dataset, train
 
 SOLVE_MODES = ("constrained", "regularized", "augmented")
-TRAIN_MODES = ("augmented", "hardwired", "regularized")
 
 
 @click.group()
@@ -192,10 +191,7 @@ def train_cmd(cfg: ExperimentConfig, out: Path):
                 if getattr(cfg, key) is not None}
     train_config = TrainConfig(mode=mode, epochs=cfg.require("epochs"), seed=cfg.require("seed"),
                                lam=lam, **optional)
-    constraint = invariance_constraint(rep)
-    basis = invariant_basis(constraint) if mode == "hardwired" else None
-    log = train(train_config, cfg.require("hidden"), x, y,
-                rep=rep, constraint=constraint, basis=basis)
+    log = train(train_config, cfg.require("hidden"), x, y, rep=rep)
     rows = [
         ",".join([
             str(rec.epoch),

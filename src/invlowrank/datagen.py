@@ -9,7 +9,6 @@ import numpy as np
 from .config import ExperimentConfig, resolve_group
 from .errors import InvalidConfig
 from .groups import GroupRep, invariance_constraint
-from .linalg import left_null_projector
 from .matio import write_matrix
 
 
@@ -36,8 +35,7 @@ def generate_dataset(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.n
     x = rng.standard_normal((d0, n))
     w_true = rng.standard_normal((dl, d0))
     if invariant:
-        g = invariance_constraint(rep)
-        w_true = w_true @ left_null_projector(g.entries)
+        w_true = w_true @ invariance_constraint(rep).null_projector
     y = w_true @ x + noise * rng.standard_normal((dl, n))
     return x, y, w_true, rep
 

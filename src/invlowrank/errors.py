@@ -24,6 +24,10 @@ class InvalidConfig(ConfigError):
     """A config key is missing, unknown, or has an out-of-range value."""
 
 
+class InvalidArgument(ConfigError, ValueError):
+    """A function argument is out of range or unknown; also a ValueError."""
+
+
 class InvalidGrid(ConfigError):
     """A lambda grid is empty, unsorted, or contains nonpositive values."""
 

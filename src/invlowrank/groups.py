@@ -23,6 +23,7 @@ from . import tolerances as tol
 from .errors import (
     EmptyNullSpace,
     IndexOutOfRange,
+    InvalidArgument,
     NonSquare,
     NotARepresentation,
     OrderMismatch,
@@ -54,25 +55,38 @@ class GroupRep:
     def order(self) -> int:
         """Group order; defined for single-generator (cyclic) reps only."""
         if not self.is_cyclic:
-            raise ValueError("order of a multi-generator rep is not enumerated")
+            raise InvalidArgument("order of a multi-generator rep is not enumerated")
         return self.orders[0]
 
 
 @dataclass(frozen=True)
 class ConstraintMatrix:
-    """Stacked blocks [I - rho(g_1), ..., I - rho(g_M)]; W G = 0 iff W invariant."""
+    """Stacked blocks [I - rho(g_1), ..., I - rho(g_M)]; W G = 0 iff W invariant.
+
+    It owns G's invariant subspace: its dimension and the one SVD of G behind it.
+    """
 
     entries: np.ndarray  # d0 x (M * d0)
-    nullity: int
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
     @cached_property
+    def nullity(self) -> int:
+        """Dimension of the invariant subspace: d0 minus the rank of G, from its singular values."""
+        return self.dim - linalg.numerical_rank(self.entries)
+
+    @cached_property
+    def factors(self) -> linalg.SvdFactors:
+        """The SVD of G, computed on first use and kept."""
+        return linalg.svd(self.entries)
+
+    @cached_property
     def null_projector(self) -> np.ndarray:
         """I - G G^+, computed on first use and kept; W (I - G G^+) is the invariant part of W."""
-        return _freeze(linalg.left_null_projector(self.entries))
+        proj = np.eye(self.dim) - self.entries @ self.factors.pinv(self.dim - self.nullity)
+        return _freeze((proj + proj.T) / 2.0)
 
 
 def constraint_entries(g: ConstraintMatrix | np.ndarray) -> np.ndarray:
@@ -98,7 +112,7 @@ def _validate_generator(gen: np.ndarray, order: int) -> np.ndarray:
     if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
         raise NonSquare(f"generator must be square, got shape {gen.shape}")
     if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+        raise InvalidArgument(f"order must be >= 1, got {order}")
     d = gen.shape[0]
     power = np.linalg.matrix_power(gen, order)
     if np.linalg.norm(power - np.eye(d)) > tol.REP_VALIDATION * d:
@@ -117,7 +131,7 @@ def rep_from_generator(gen: np.ndarray, order: int) -> GroupRep:
 def rep_from_generators(gens: Sequence[np.ndarray], orders: Sequence[int]) -> GroupRep:
     """Validate a finitely generated group given one matrix per generator."""
     if len(gens) != len(orders) or not gens:
-        raise ValueError("need one order per generator")
+        raise InvalidArgument("need one order per generator")
     validated = [_validate_generator(g, o) for g, o in zip(gens, orders)]
     d = validated[0].shape[0]
     for g in validated[1:]:
@@ -134,7 +148,7 @@ def c4_image_rotation(p: int) -> GroupRep:
     Pixel convention: (row i, col j) -> (j, p-1-i).
     """
     if p < 1:
-        raise ValueError(f"grid side must be >= 1, got {p}")
+        raise InvalidArgument(f"grid side must be >= 1, got {p}")
     gen = np.zeros((p * p, p * p))
     for i in range(p):
         for j in range(p):
@@ -147,7 +161,7 @@ def c4_image_rotation(p: int) -> GroupRep:
 def cyclic_permutation(d: int) -> GroupRep:
     """The full d-cycle permutation rep on R^d (order d)."""
     if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+        raise InvalidArgument(f"dimension must be >= 1, got {d}")
     gen = np.roll(np.eye(d), 1, axis=0)
     return rep_from_generator(gen, d)
 
@@ -159,7 +173,7 @@ def rotation_2d(k: int) -> GroupRep:
     2*pi/k; that convention is used here.
     """
     if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+        raise InvalidArgument(f"order must be >= 1, got {k}")
     theta = 2.0 * np.pi / k
     c, s = np.cos(theta), np.sin(theta)
     gen = np.array([[c, -s], [s, c]])
@@ -167,21 +181,14 @@ def rotation_2d(k: int) -> GroupRep:
 
 
 def element(rep: GroupRep, j: int) -> np.ndarray:
-    """rho(g^j) by repeated multiplication; cyclic reps only."""
-    if not rep.is_cyclic:
-        raise ValueError("element enumeration requires a single-generator rep")
+    """rho(g^j); cyclic reps only."""
     if j < 0 or j >= rep.order:
         raise IndexOutOfRange(f"element index {j} outside [0, {rep.order})")
-    out = np.eye(rep.dim)
-    for _ in range(j):
-        out = rep.generators[0] @ out
-    return out
+    return elements(rep)[j]
 
 
 def elements(rep: GroupRep) -> list[np.ndarray]:
     """All group elements rho(g^0), ..., rho(g^(order-1)); cyclic reps only."""
-    if not rep.is_cyclic:
-        raise ValueError("element enumeration requires a single-generator rep")
     out = [np.eye(rep.dim)]
     for _ in range(rep.order - 1):
         out.append(rep.generators[0] @ out[-1])
@@ -195,12 +202,13 @@ def group_average(rep: GroupRep) -> np.ndarray:
 
 
 def invariance_constraint(rep: GroupRep) -> ConstraintMatrix:
-    """Constraint G = [I - rho(g_1), ..., I - rho(g_M)] with cached nullity."""
+    """Constraint G = [I - rho(g_1), ..., I - rho(g_M)]."""
     d = rep.dim
     blocks = [np.eye(d) - g for g in rep.generators]
-    entries = np.hstack(blocks)
-    nullity = d - linalg.numerical_rank(entries)
-    return ConstraintMatrix(entries=_freeze(entries), nullity=nullity)
+    # a generator within _validate_generator's tolerance of I is the identity: no constraint
+    blocks = [np.zeros_like(b) if np.linalg.norm(b) <= tol.REP_VALIDATION * d else b
+              for b in blocks]
+    return ConstraintMatrix(entries=_freeze(np.hstack(blocks)))
 
 
 def equivariance_constraint(rep_x: GroupRep, rep_y: GroupRep) -> EquivarianceConstraint:
@@ -224,11 +232,9 @@ def equivariant_null_basis(constraint: EquivarianceConstraint) -> np.ndarray:
     n_blocks = constraint.entries.shape[1] // dim
     stacked = np.vstack([constraint.entries[:, m * dim:(m + 1) * dim] for m in range(n_blocks)])
     f = linalg.svd(stacked)
-    rank = int(np.count_nonzero(f.sigma > linalg.rank_cutoff(f.sigma, stacked.shape)))
-    if rank == dim:
+    if f.rank == dim:
         raise EmptyNullSpace("no equivariant maps for these representations")
-    basis = f.v[:, rank:].T
-    return _fix_row_signs(basis)
+    return _fix_row_signs(f.v[:, f.rank:].T)
 
 
 def _fix_row_signs(basis: np.ndarray) -> np.ndarray:
@@ -248,13 +254,9 @@ def invariant_basis(constraint: ConstraintMatrix) -> np.ndarray:
     Sign convention: the first nonzero entry of each row is positive, so the
     basis is reproducible across runs.
     """
-    g = constraint.entries
-    f = linalg.svd(g)
-    rank = int(np.count_nonzero(f.sigma > linalg.rank_cutoff(f.sigma, g.shape)))
-    if rank == g.shape[0]:
+    if constraint.nullity == 0:
         raise EmptyNullSpace("constraint has full row rank: no invariant maps")
-    basis = f.u[:, rank:].T
-    return _fix_row_signs(basis)
+    return _fix_row_signs(constraint.factors.u[:, constraint.dim - constraint.nullity:].T)
 
 
 def is_unitary(rep: GroupRep, tolerance: float = tol.ORTHOGONALITY) -> bool:

@@ -43,6 +43,18 @@ class SvdFactors:
     def reconstruct(self) -> np.ndarray:
         return self.select(slice(None))
 
+    @property
+    def rank(self) -> int:
+        """Number of singular values above the shared rank cutoff."""
+        shape = (self.u.shape[0], self.v.shape[0])
+        return int(np.count_nonzero(self.sigma > rank_cutoff(self.sigma, shape)))
+
+    def pinv(self, k: int) -> np.ndarray:
+        """Pseudoinverse that inverts the k largest singular values and zeroes the rest."""
+        inv = np.zeros_like(self.sigma)
+        inv[:k] = 1.0 / self.sigma[:k]
+        return (self.v[:, :inv.size] * inv) @ self.u[:, :inv.size].T
+
 
 def _flip_to_positive(vecs: np.ndarray, start: int) -> None:
     # normalize the sign of unpaired basis columns (null-space completions)
@@ -117,10 +129,15 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def is_positive_definite(w: np.ndarray) -> bool:
+    """True iff the ascending eigenvalues w of a symmetric matrix are all clearly positive."""
+    return bool(w[-1] > 0 and w[0] > tol.PD_EIG_REL * w[-1])
+
+
 def _pd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = _check_symmetric(m)
     w, vecs = np.linalg.eigh((m + m.T) / 2.0)
-    if w[-1] <= 0 or w[0] <= tol.PD_EIG_REL * w[-1]:
+    if not is_positive_definite(w):
         raise NotPositiveDefinite(
             f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] fails the positive-definite check"
         )
@@ -143,14 +160,8 @@ def pd_inv_sqrt(m: np.ndarray) -> np.ndarray:
 
 def pinv(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD with the shared rank cutoff."""
-    m = np.asarray(m, dtype=float)
     f = svd(m)
-    cutoff = rank_cutoff(f.sigma, m.shape)
-    inv = np.zeros_like(f.sigma)
-    keep = f.sigma > cutoff
-    inv[keep] = 1.0 / f.sigma[keep]
-    k = f.sigma.size
-    return (f.v[:, :k] * inv) @ f.u[:, :k].T
+    return f.pinv(f.rank)
 
 
 def left_null_projector(g: np.ndarray) -> np.ndarray:

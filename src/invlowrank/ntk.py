@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .activations import get_activation
-from .errors import DimensionMismatch, NotUnitary, SingularKernel, ZeroVector
+from .errors import DimensionMismatch, InvalidArgument, NotUnitary, SingularKernel, ZeroVector
 from .groups import GroupRep, elements, is_unitary
 
 
@@ -31,7 +31,7 @@ class WidthSampleSet:
         if self.weights.shape[0] != self.out_scales.shape[0]:
             raise DimensionMismatch("one output scale per weight vector required")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.out_scales))):
-            raise ValueError("sample weights and scales must be finite")
+            raise InvalidArgument("sample weights and scales must be finite")
 
     @property
     def width(self) -> int:
@@ -100,6 +100,12 @@ def empirical_ntk(samples: WidthSampleSet, activation: str,
     """Finite-width kernel
     (1/d1) sum_d [a_d^2 sigma'(w_d.x) sigma'(w_d.x') x.x' + sigma(w_d.x) sigma(w_d.x')].
     """
+    return float(np.mean(empirical_ntk_terms(samples, activation, x, xp)))
+
+
+def empirical_ntk_terms(samples: WidthSampleSet, activation: str,
+                        x: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """The d1 per-unit summands of the empirical kernel (for error bars)."""
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     if x.shape != xp.shape or x.shape[0] != samples.weights.shape[1]:
@@ -110,18 +116,7 @@ def empirical_ntk(samples: WidthSampleSet, activation: str,
     pre_x = samples.weights @ x
     pre_y = samples.weights @ xp
     grad_term = samples.out_scales ** 2 * act_prime(pre_x) * act_prime(pre_y) * float(x @ xp)
-    act_term = act(pre_x) * act(pre_y)
-    return float(np.mean(grad_term + act_term))
-
-
-def empirical_ntk_terms(samples: WidthSampleSet, activation: str,
-                        x: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """The d1 per-unit summands of the empirical kernel (for error bars)."""
-    act, act_prime = get_activation(activation)
-    pre_x = samples.weights @ x
-    pre_y = samples.weights @ xp
-    return (samples.out_scales ** 2 * act_prime(pre_x) * act_prime(pre_y) * float(x @ xp)
-            + act(pre_x) * act(pre_y))
+    return grad_term + act(pre_x) * act(pre_y)
 
 
 def augmented_kernel(kernel: Callable[[np.ndarray, np.ndarray], float],

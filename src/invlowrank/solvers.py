@@ -37,6 +37,7 @@ from . import linalg
 from . import tolerances as tol
 from .errors import (
     DegenerateSpectrum,
+    InvalidArgument,
     InvalidGrid,
     NotPositiveDefinite,
     ShapeMismatch,
@@ -78,15 +79,14 @@ class RegressionProblem:
         if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
             raise ShapeMismatch(f"X {x.shape} and Y {y.shape} must share a sample axis")
         if self.r < 0:
-            raise ValueError(f"rank bound must be >= 0, got {self.r}")
+            raise InvalidArgument(f"rank bound must be >= 0, got {self.r}")
         if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+            raise InvalidArgument(f"lambda must be >= 0, got {self.lam}")
         if self.constraint is None and self.rep is None:
-            raise ValueError("need a ConstraintMatrix or a GroupRep")
+            raise InvalidArgument("need a ConstraintMatrix or a GroupRep")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        w = np.linalg.eigvalsh(x @ x.T)
-        if w[-1] <= 0 or w[0] <= tol.PD_EIG_REL * w[-1]:
+        if not linalg.is_positive_definite(np.linalg.eigvalsh(x @ x.T)):
             raise SingularData("X X^T is not positive definite; supply full-row-rank data")
         constraint = self.constraint
         if constraint is None:
@@ -180,7 +180,7 @@ class _Targets:
         problem = self.problem
         if mode == "augmented":
             if problem.rep is None:
-                raise ValueError("augmented mode needs a GroupRep on the problem")
+                raise InvalidArgument("augmented mode needs a GroupRep on the problem")
             rep = problem.rep
             xxt = problem.x @ problem.x.T
             q_inv = _pd_inv_sqrt(sum(g @ xxt @ g.T for g in elements(rep)))
@@ -192,7 +192,7 @@ class _Targets:
             mu, v = self._penalty_eigh
             b_inv = (v / np.sqrt(1.0 + problem.n * lam * mu)) @ v.T
             return z @ b_inv, b_inv @ p_inv
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
 
 
 def _pd_inv_sqrt(m: np.ndarray) -> np.ndarray:
@@ -207,7 +207,7 @@ def _rank_r(problem: RegressionProblem, zbar: np.ndarray, right: np.ndarray
     """W = (best rank-r part of Zbar) R, the SVD of Zbar, and the warnings."""
     f, r = linalg.svd(zbar), problem.r
     warnings = [WARN_RANK_VACUOUS] if WARN_RANK_VACUOUS in problem.flags else []
-    if int(np.count_nonzero(f.sigma > linalg.rank_cutoff(f.sigma, zbar.shape))) <= r:
+    if f.rank <= r:
         warnings.append(WARN_RANK_ASSUMPTION)
     if 0 < r < f.sigma.size and f.sigma[r - 1] <= f.sigma[r] * (1.0 + tol.SPECTRAL_GAP_REL):
         warnings.append(WARN_NON_UNIQUE)
@@ -297,9 +297,7 @@ def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[Cri
     """
     zbar, right = _Targets(problem)(mode, problem.lam)
     f = linalg.svd(zbar)
-    cutoff = linalg.rank_cutoff(f.sigma, zbar.shape)
-    k = int(np.count_nonzero(f.sigma > cutoff))
-    r = problem.r
+    k, r = f.rank, problem.r
     if r > k:
         raise DegenerateSpectrum(
             f"rank bound {r} exceeds the whitened target rank {k}; critical set degenerates"

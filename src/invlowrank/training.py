@@ -24,12 +24,14 @@ from . import tolerances as tol
 from .activations import get_activation
 from .errors import (
     DivergenceDetected,
+    InvalidArgument,
     InvalidConfig,
     NonOneHotTargets,
     OrbitMeanZero,
     ShapeMismatch,
 )
-from .groups import ConstraintMatrix, GroupRep, constraint_entries, elements, invariance_constraint
+from .groups import (ConstraintMatrix, GroupRep, constraint_entries, elements,
+                     invariance_constraint, invariant_basis)
 from .solvers import empirical_risk, invariance_decomposition
 
 MODES = ("augmented", "hardwired", "regularized")
@@ -174,7 +176,7 @@ def gradient(params: LinearNetParams, x: np.ndarray, y: np.ndarray,
     2 lambda W G G^T. Layer j receives W_{L:j+1}^T (dF/dW) W_{j-1:1}^T.
     """
     if loss not in LOSSES:
-        raise ValueError(f"unknown loss {loss!r}")
+        raise InvalidArgument(f"unknown loss {loss!r}")
     w_end = end_to_end(params)
     if w_end.shape[1] != x.shape[0] or w_end.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]:
         raise ShapeMismatch(f"net {w_end.shape} incompatible with X {x.shape}, Y {y.shape}")
@@ -261,33 +263,29 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
           basis: np.ndarray | None = None) -> TrainLog:
     """Full-batch Adam training in the configured mode.
 
+    The invariance constraint G is ``constraint``, or is built from ``rep``.
     augmented needs ``rep`` (the dataset is expanded to its orbit),
-    hardwired needs ``basis`` (rows spanning the invariant subspace),
-    regularized needs ``constraint`` and ``config.lam``. Metrics are
-    computed each epoch on the end-to-end map (composed with the basis in
-    hardwired mode), against the invariance constraint.
+    hardwired trains on ``basis`` @ x (rows spanning the invariant subspace,
+    by default ``invariant_basis(G)``), and regularized penalizes
+    ``config.lam`` ||W G||_F^2. Metrics are computed each epoch on the
+    end-to-end map (composed with the basis in hardwired mode), against G.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if config.mode == "augmented":
-        if rep is None:
-            raise InvalidConfig("augmented mode needs a group representation")
-        x_train, y_train = augment_dataset(x, y, rep)
-        lam, g = 0.0, None
-    elif config.mode == "hardwired":
-        if basis is None:
-            raise InvalidConfig("hardwired mode needs an invariant basis")
-        x_train, y_train = np.asarray(basis, dtype=float) @ x, y
-        lam, g = 0.0, None
-    else:
-        if constraint is None:
-            raise InvalidConfig("regularized mode needs a constraint matrix")
-        x_train, y_train = x, y
-        lam, g = config.lam, constraint
     if constraint is None:
         if rep is None:
             raise InvalidConfig("need a constraint or a rep for the invariance metrics")
         constraint = invariance_constraint(rep)
+    x_train, y_train, lam, g = x, y, 0.0, None
+    if config.mode == "augmented":
+        if rep is None:
+            raise InvalidConfig("augmented mode needs a group representation")
+        x_train, y_train = augment_dataset(x, y, rep)
+    elif config.mode == "hardwired":
+        basis = invariant_basis(constraint) if basis is None else np.asarray(basis, dtype=float)
+        x_train = basis @ x
+    else:
+        lam, g = config.lam, constraint
 
     dims = (x_train.shape[0], *hidden_dims, y.shape[0])
     params = init_params(dims, config.seed, config.init_scale)

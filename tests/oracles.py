@@ -15,9 +15,14 @@ import numpy as np
 
 
 def _truncate_rank(m: np.ndarray, r: int) -> np.ndarray:
+    """Best rank-r part of m, or of each matrix in a stack."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return (u[:, :r] * s[:r]) @ vt[:r, :]
+    return (u[..., :r] * s[..., None, :r]) @ vt[..., :r, :]
 
+
+# Each oracle runs its restarts as one stack: every start is drawn first, in
+# the order a restart-by-restart loop would draw it, and the restarts never
+# interact, so each restart follows the same iterates as when run alone.
 
 def projected_gradient_constrained(x: np.ndarray, y: np.ndarray, g: np.ndarray,
                                    r: int, restarts: int = 20, iters: int = 1500,
@@ -27,15 +32,12 @@ def projected_gradient_constrained(x: np.ndarray, y: np.ndarray, g: np.ndarray,
     proj = np.eye(g.shape[0]) - g @ np.linalg.pinv(g)
     step = 0.9 * n / (2.0 * np.linalg.eigvalsh(x @ x.T)[-1])
     rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(restarts):
-        w = rng.standard_normal((y.shape[0], x.shape[0]))
-        w = _truncate_rank(w @ proj, r)
-        for _ in range(iters):
-            grad = (2.0 / n) * (w @ x - y) @ x.T
-            w = _truncate_rank((w - step * grad) @ proj, r)
-        best = min(best, float(np.linalg.norm(w @ x - y) ** 2) / n)
-    return best
+    w = rng.standard_normal((restarts, y.shape[0], x.shape[0]))
+    w = _truncate_rank(w @ proj, r)
+    for _ in range(iters):
+        grad = (2.0 / n) * (w @ x - y) @ x.T
+        w = _truncate_rank((w - step * grad) @ proj, r)
+    return min(float(np.linalg.norm(wi @ x - y) ** 2) / n for wi in w)
 
 
 def projected_gradient_augmented(x_aug: np.ndarray, y_aug: np.ndarray, r: int,
@@ -46,14 +48,11 @@ def projected_gradient_augmented(x_aug: np.ndarray, y_aug: np.ndarray, r: int,
     n_aug = x_aug.shape[1]
     step = 0.9 * n_aug / (2.0 * np.linalg.eigvalsh(x_aug @ x_aug.T)[-1])
     rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(restarts):
-        w = _truncate_rank(rng.standard_normal((y_aug.shape[0], x_aug.shape[0])), r)
-        for _ in range(iters):
-            grad = (2.0 / n_aug) * (w @ x_aug - y_aug) @ x_aug.T
-            w = _truncate_rank(w - step * grad, r)
-        best = min(best, float(np.linalg.norm(w @ x_aug - y_aug) ** 2) / n_aug)
-    return best
+    w = _truncate_rank(rng.standard_normal((restarts, y_aug.shape[0], x_aug.shape[0])), r)
+    for _ in range(iters):
+        grad = (2.0 / n_aug) * (w @ x_aug - y_aug) @ x_aug.T
+        w = _truncate_rank(w - step * grad, r)
+    return min(float(np.linalg.norm(wi @ x_aug - y_aug) ** 2) / n_aug for wi in w)
 
 
 def factored_gradient_descent(x: np.ndarray, y: np.ndarray, g: np.ndarray,
@@ -64,7 +63,6 @@ def factored_gradient_descent(x: np.ndarray, y: np.ndarray, g: np.ndarray,
     n = x.shape[1]
     ggt = g @ g.T
     rng = np.random.default_rng(seed)
-    best = np.inf
 
     def objective(a, b):
         w = a @ b
@@ -72,24 +70,24 @@ def factored_gradient_descent(x: np.ndarray, y: np.ndarray, g: np.ndarray,
             np.linalg.norm(w @ g) ** 2
         )
 
-    for _ in range(restarts):
-        a = rng.standard_normal((y.shape[0], r)) / np.sqrt(r)
-        b = rng.standard_normal((r, x.shape[0])) / np.sqrt(x.shape[0])
-        ma, va = np.zeros_like(a), np.zeros_like(a)
-        mb, vb = np.zeros_like(b), np.zeros_like(b)
-        for t in range(1, iters + 1):
-            w = a @ b
-            dw = (2.0 / n) * (w @ x - y) @ x.T + 2.0 * lam * w @ ggt
-            da, db = dw @ b.T, a.T @ dw
-            ma = 0.9 * ma + 0.1 * da
-            va = 0.999 * va + 0.001 * da * da
-            mb = 0.9 * mb + 0.1 * db
-            vb = 0.999 * vb + 0.001 * db * db
-            c1, c2 = 1 - 0.9 ** t, 1 - 0.999 ** t
-            a = a - lr * (ma / c1) / (np.sqrt(va / c2) + 1e-8)
-            b = b - lr * (mb / c1) / (np.sqrt(vb / c2) + 1e-8)
-        best = min(best, objective(a, b))
-    return best
+    starts = [(rng.standard_normal((y.shape[0], r)) / np.sqrt(r),
+               rng.standard_normal((r, x.shape[0])) / np.sqrt(x.shape[0]))
+              for _ in range(restarts)]
+    a, b = (np.stack(s) for s in zip(*starts))
+    ma, va = np.zeros_like(a), np.zeros_like(a)
+    mb, vb = np.zeros_like(b), np.zeros_like(b)
+    for t in range(1, iters + 1):
+        w = a @ b
+        dw = (2.0 / n) * (w @ x - y) @ x.T + 2.0 * lam * w @ ggt
+        da, db = dw @ b.swapaxes(1, 2), a.swapaxes(1, 2) @ dw
+        ma = 0.9 * ma + 0.1 * da
+        va = 0.999 * va + 0.001 * da * da
+        mb = 0.9 * mb + 0.1 * db
+        vb = 0.999 * vb + 0.001 * db * db
+        c1, c2 = 1 - 0.9 ** t, 1 - 0.999 ** t
+        a = a - lr * (ma / c1) / (np.sqrt(va / c2) + 1e-8)
+        b = b - lr * (mb / c1) / (np.sqrt(vb / c2) + 1e-8)
+    return min(objective(ai, bi) for ai, bi in zip(a, b))
 
 
 def finite_difference(objective: Callable[[Sequence[np.ndarray]], float],

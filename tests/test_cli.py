@@ -414,3 +414,29 @@ def test_non_utf8_config_exit_1(tmp_path, capsys):
     conf.write_bytes(b"group = c4_image:2\n\xff\xfe = 1\n")
     code, _, err = run_cli(["gen-data", "--config", str(conf), "--out", str(tmp_path)], capsys)
     assert_config_error(code, err, "bad.conf")
+
+
+
+# rotation by 2*pi: the identity group, under which every map is invariant
+IDENTITY_GROUP = dict(group="rotation2d:1", dL=2, n=12, noise_sigma=0.5, seed=1, r=2,
+                      hidden=3, epochs=20, x_file="X.mat", y_file="Y.mat")
+
+
+def test_identity_group_constrained_equals_augmented(tmp_path, capsys):
+    conf = write_config(tmp_path / "data.conf", **IDENTITY_GROUP)
+    run_cli(["gen-data", "--config", conf, "--out", str(tmp_path)], capsys)
+    for mode in ("constrained", "augmented"):
+        conf = write_config(tmp_path / f"{mode}.conf", mode=mode, **IDENTITY_GROUP)
+        code, _, _ = run_cli(["solve", "--config", conf, "--out", str(tmp_path / mode)], capsys)
+        assert code == 0
+    code, out, _ = run_cli(["compare", str(tmp_path / "constrained" / "W.mat"),
+                            str(tmp_path / "augmented" / "W.mat"), "--tol", "1e-8"], capsys)
+    assert code == 0, out
+
+
+def test_identity_group_train_hardwired(tmp_path, capsys):
+    conf = write_config(tmp_path / "hw.conf", mode="hardwired", **IDENTITY_GROUP)
+    run_cli(["gen-data", "--config", conf, "--out", str(tmp_path)], capsys)
+    code, out, err = run_cli(["train", "--config", conf, "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert read_matrix(tmp_path / "Wfinal.mat").shape == (2, 2)

@@ -237,3 +237,64 @@ def test_is_unitary():
     scaled = groups.GroupRep(generators=(np.diag([2.0, 0.5]),), orders=(1,))
     assert not groups.is_unitary(scaled, 1e-10)
     assert not groups.is_unitary(skewed_cycle_rep(4, 3), 1e-10)
+
+
+def test_identity_generator_constrains_nothing():
+    g = groups.invariance_constraint(groups.rotation_2d(1))
+    assert np.all(g.entries == 0.0)
+    assert g.nullity == 2
+    assert np.array_equal(g.null_projector, np.eye(2))
+    assert groups.invariant_basis(g).shape == (2, 2)
+    # a numerically-identity generator beside a real one adds no constraint
+    rep = groups.rep_from_generators([rotation(2 * np.pi), SWAP], [1, 2])
+    assert groups.invariance_constraint(rep).nullity == 1
+
+
+def _two_generator_rep() -> groups.GroupRep:
+    # an order-3 cycle on coordinates 0-2 and a swap of coordinates 3-4 in R^6
+    cycle, swap = np.eye(6), np.eye(6)
+    cycle[:3, :3] = np.roll(np.eye(3), 1, axis=0)
+    swap[3:5, 3:5] = SWAP
+    return groups.rep_from_generators([cycle, swap], [3, 2])
+
+
+SUBSPACE_REPS = (
+    [(f"embedded_cycle_{d0}_{order}", lambda d0=d0, order=order: embedded_cycle_rep(d0, order))
+     for d0, order in [(4, 2), (6, 3), (7, 7), (9, 4)]]
+    + [(f"rotation_2d_{k}", lambda k=k: groups.rotation_2d(k)) for k in range(1, 9)]
+    + [(f"c4_image_{p}", lambda p=p: groups.c4_image_rotation(p)) for p in range(2, 5)]
+    + [("two_generator", _two_generator_rep)]
+)
+
+
+@pytest.mark.parametrize("make_rep", [make for _, make in SUBSPACE_REPS],
+                         ids=[name for name, _ in SUBSPACE_REPS])
+def test_invariant_basis_and_projector_share_the_nullity(make_rep):
+    c = groups.invariance_constraint(make_rep())
+    if c.nullity == 0:
+        with pytest.raises(EmptyNullSpace):
+            groups.invariant_basis(c)
+        assert np.linalg.norm(c.null_projector) < 1e-10
+        return
+    basis = groups.invariant_basis(c)
+    assert basis.shape == (c.nullity, c.dim)
+    assert np.linalg.norm(basis.T @ basis - c.null_projector) < 1e-10
+    assert np.linalg.norm(basis @ c.entries) < 1e-10
+
+
+def test_constraint_factors_g_once(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    c = groups.invariance_constraint(groups.c4_image_rotation(3))
+    assert c.nullity == 3
+    groups.invariant_basis(c)
+    groups.invariant_basis(c)
+    c.null_projector
+    assert calls == [(9, 9)]

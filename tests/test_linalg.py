@@ -204,3 +204,29 @@ def test_numerical_rank():
     assert linalg.numerical_rank(np.eye(4)) == 4
     m = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
     assert linalg.numerical_rank(m) == 1
+
+
+def test_svd_factors_rank():
+    assert linalg.svd(np.zeros((3, 4))).rank == 0
+    assert linalg.svd(np.eye(4)).rank == 4
+    assert linalg.svd(np.outer([1.0, 2.0, 3.0], [4.0, 5.0])).rank == 1
+    for shape, r in [((6, 4), 2), ((4, 7), 3), ((5, 5), 5)]:
+        for m in random_rank_r_matrices(shape, r, count=5, seed=r):
+            assert linalg.svd(m).rank == linalg.numerical_rank(m) == r
+
+
+def test_svd_factors_pinv_inverts_the_k_largest():
+    m = np.diag([4.0, 2.0, 1.0])
+    f = linalg.svd(m)
+    assert np.allclose(f.pinv(3), np.diag([0.25, 0.5, 1.0]))
+    assert np.allclose(f.pinv(1), np.diag([0.25, 0.0, 0.0]))
+    assert np.all(f.pinv(0) == 0.0)
+
+
+def test_is_positive_definite():
+    assert linalg.is_positive_definite(np.array([1.0, 2.0]))
+    assert not linalg.is_positive_definite(np.array([0.0, 2.0]))
+    assert not linalg.is_positive_definite(np.array([-1.0, -0.5]))
+    assert not linalg.is_positive_definite(np.array([1e-13, 1.0]))
+    with pytest.raises(NotPositiveDefinite):
+        linalg.pd_inv_sqrt(np.diag([1e-13, 1.0]))

@@ -98,6 +98,25 @@ def test_empirical_ntk_dimension_mismatch():
         ntk.empirical_ntk(samples, "relu", np.ones(3), np.ones(3))
 
 
+def test_empirical_ntk_terms_dimension_mismatch():
+    samples = ntk.sample_width_set(4, 8, seed=8)
+    with pytest.raises(DimensionMismatch):
+        ntk.empirical_ntk_terms(samples, "relu", np.ones(3), np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        ntk.empirical_ntk_terms(samples, "relu", np.ones(4), np.ones(5))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_empirical_ntk_is_the_mean_of_its_terms(activation):
+    rng = np.random.default_rng(9)
+    samples = ntk.sample_width_set(5, 257, seed=10)
+    for _ in range(5):
+        x, xp = rng.standard_normal(5), rng.standard_normal(5)
+        terms = ntk.empirical_ntk_terms(samples, activation, x, xp)
+        assert terms.shape == (257,)
+        assert ntk.empirical_ntk(samples, activation, x, xp) == float(np.mean(terms))
+
+
 def test_empirical_ntk_monte_carlo_convergence():
     samples = ntk.sample_width_set(6, 2 ** 14, seed=9)
     rng = np.random.default_rng(10)

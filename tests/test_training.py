@@ -238,6 +238,19 @@ def test_train_hardwired_w_perp_identically_zero():
     assert all(abs(rec.invariance_ratio - 1.0) < 1e-12 for rec in log.records)
 
 
+@pytest.mark.parametrize("mode", ["hardwired", "regularized"])
+def test_train_derives_basis_and_constraint_from_rep(mode):
+    x, y, rep = standard_instance()
+    g = groups.invariance_constraint(rep)
+    config = TrainConfig(mode=mode, epochs=30, seed=4, lam=0.01)
+    explicit = (dict(basis=groups.invariant_basis(g)) if mode == "hardwired"
+                else dict(constraint=g))
+    a = train(config, (3,), x, y, rep=rep)
+    b = train(config, (3,), x, y, rep=rep, **explicit)
+    assert np.array_equal(a.final_w, b.final_w)
+    assert a.records == b.records
+
+
 def test_train_deterministic():
     x, y, rep = standard_instance()
     config = TrainConfig(mode="augmented", epochs=40, seed=5)
