@@ -17,6 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import tolerances as tol
 from .config import ExperimentConfig, load_config, resolve_group
 from .datagen import write_dataset
 from .errors import ConfigError, InvalidConfig, NotUnitary, NumericalError
@@ -227,7 +228,7 @@ def _ntk_suites(rep: GroupRep, width: int, trials: int, seed: int):
         x, xp = unit(rng.standard_normal(d0)), unit(rng.standard_normal(d0))
         base = relu_limiting_ntk(x, xp)
         value = max(abs(relu_limiting_ntk(g @ x, g @ xp) - base) for g in mats[1:]) if len(mats) > 1 else 0.0
-        yield "equivariance", t, value, 1e-12, value < 1e-12
+        yield "equivariance", t, value, tol.KERNEL_IDENTITY, value < tol.KERNEL_IDENTITY
 
     # Monte-Carlo convergence of the finite-width kernel to the closed form
     samples = sample_width_set(d0, width, seed)
@@ -236,7 +237,7 @@ def _ntk_suites(rep: GroupRep, width: int, trials: int, seed: int):
         emp = empirical_ntk(samples, "relu", x, xp)
         lim = relu_limiting_ntk(x, xp)
         terms = empirical_ntk_terms(samples, "relu", x, xp)
-        bound = 3.0 * float(terms.std(ddof=1)) / np.sqrt(terms.size)
+        bound = tol.MONTE_CARLO_SE * float(terms.std(ddof=1)) / np.sqrt(terms.size)
         value = abs(emp - lim)
         yield "monte_carlo", t, value, bound, value <= bound
 
@@ -247,7 +248,7 @@ def _ntk_suites(rep: GroupRep, width: int, trials: int, seed: int):
         conv = conv_empirical_ntk(sym, "relu", rep, x, xp)
         aug = augmented_kernel(lambda a, b: empirical_ntk(sym, "relu", a, b), rep, x, xp)
         value = abs(conv - aug)
-        yield "orbit_symmetrized", t, value, 1e-12, value < 1e-12
+        yield "orbit_symmetrized", t, value, tol.KERNEL_IDENTITY, value < tol.KERNEL_IDENTITY
 
     # the limiting-kernel interpolant on augmented data is invariant
     n = 12
@@ -256,7 +257,7 @@ def _ntk_suites(rep: GroupRep, width: int, trials: int, seed: int):
     x_aug, y_aug = augment_dataset(pts, targets.reshape(1, -1), rep)
     km = build_kernel_matrix(relu_limiting_ntk, x_aug)
     coeffs = kernel_interpolate(km, y_aug.ravel())
-    bound = 1e-6 * float(np.max(np.abs(targets)))
+    bound = tol.PREDICTOR_INVARIANCE_REL * float(np.max(np.abs(targets)))
     for t in range(20):
         xt = rng.standard_normal(d0)
         ref = kernel_predict(relu_limiting_ntk, x_aug, coeffs, xt)

@@ -241,7 +241,7 @@ def _fix_row_signs(basis: np.ndarray) -> np.ndarray:
     basis = basis.copy()
     for i in range(basis.shape[0]):
         row = basis[i]
-        floor = 1e-12 * max(1.0, float(np.max(np.abs(row))))
+        floor = tol.BASIS_SIGN_FLOOR * max(1.0, float(np.max(np.abs(row))))
         nonzero = np.nonzero(np.abs(row) > floor)[0]
         if nonzero.size and row[nonzero[0]] < 0:
             basis[i] = -row

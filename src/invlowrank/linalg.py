@@ -23,7 +23,8 @@ class SvdFactors:
 
     ``sigma`` is nonincreasing with length min(rows, cols); U and V are
     square. Singular vectors are sign-normalized so the largest-magnitude
-    entry of each left singular vector is positive.
+    entry of each left singular vector, and of each right one without a
+    singular value, is positive.
     """
 
     u: np.ndarray
@@ -55,13 +56,17 @@ class SvdFactors:
         inv[:k] = 1.0 / self.sigma[:k]
         return (self.v[:, :inv.size] * inv) @ self.u[:, :inv.size].T
 
+    def tied(self, i: int) -> bool:
+        """True iff sigma_i - sigma_{i+1} <= SPECTRAL_GAP_REL * sigma_0 (the one tie rule)."""
+        return bool(self.sigma[i] - self.sigma[i + 1] <= tol.SPECTRAL_GAP_REL * self.sigma[0])
 
-def _flip_to_positive(vecs: np.ndarray, start: int) -> None:
-    # normalize the sign of unpaired basis columns (null-space completions)
-    for i in range(start, vecs.shape[1]):
-        j = int(np.argmax(np.abs(vecs[:, i])))
-        if vecs[j, i] < 0:
-            vecs[:, i] = -vecs[:, i]
+
+def _largest_entry_signs(rows: np.ndarray) -> np.ndarray:
+    """Per row, -1.0 if its first largest-magnitude entry is negative, else 1.0."""
+    if rows.shape[1] == 0:
+        return np.ones(rows.shape[0])
+    top = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
+    return np.where(top < 0, -1.0, 1.0)
 
 
 def svd(m: np.ndarray) -> SvdFactors:
@@ -76,16 +81,9 @@ def svd(m: np.ndarray) -> SvdFactors:
         u, s, vt = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD did not converge for shape {m.shape}") from exc
-    v = vt.T.copy()
-    u = u.copy()
-    for i in range(s.size):
-        j = int(np.argmax(np.abs(u[:, i])))
-        if u[j, i] < 0:
-            u[:, i] = -u[:, i]
-            v[:, i] = -v[:, i]
-    _flip_to_positive(u, s.size)
-    _flip_to_positive(v, s.size)
-    return SvdFactors(u=u, sigma=s, v=v)
+    u_signs = _largest_entry_signs(u.T)
+    v_signs = np.concatenate([u_signs[:s.size], _largest_entry_signs(vt[s.size:])])
+    return SvdFactors(u=u * u_signs, sigma=s, v=(vt * v_signs[:, None]).T.copy())
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

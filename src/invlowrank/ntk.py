@@ -165,7 +165,7 @@ def conv_empirical_ntk(samples: WidthSampleSet, activation: str, rep: GroupRep,
 
 def build_kernel_matrix(kernel: Callable[[np.ndarray, np.ndarray], float],
                         points: np.ndarray, jitter: float | None = None) -> KernelMatrix:
-    """Gram matrix over the columns of ``points``; default jitter 1e-10 trace/n."""
+    """Gram matrix over the columns of ``points``; default jitter KERNEL_JITTER_REL trace/n."""
     n = points.shape[1]
     k = np.empty((n, n))
     for i in range(n):
@@ -173,7 +173,7 @@ def build_kernel_matrix(kernel: Callable[[np.ndarray, np.ndarray], float],
             k[i, j] = kernel(points[:, i], points[:, j])
             k[j, i] = k[i, j]
     if jitter is None:
-        jitter = 1e-10 * float(np.trace(k)) / n
+        jitter = tol.KERNEL_JITTER_REL * float(np.trace(k)) / n
     return KernelMatrix(entries=k, jitter=float(jitter))
 
 

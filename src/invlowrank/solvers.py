@@ -50,7 +50,6 @@ from .groups import (ConstraintMatrix, GroupRep, constraint_entries, elements, g
 WARN_RANK_VACUOUS = "RankConstraintVacuous"
 WARN_RANK_ASSUMPTION = "RankAssumptionViolated"
 WARN_NON_UNIQUE = "NonUniqueOptimum"
-WARN_GAP_SMALL = "SpectralGapSmall"
 FLAG_FILLING = "Filling"
 FLAG_NON_FILLING = "NonFilling"
 
@@ -203,19 +202,19 @@ def _pd_inv_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def _rank_r(problem: RegressionProblem, zbar: np.ndarray, right: np.ndarray
-            ) -> tuple[np.ndarray, linalg.SvdFactors, list[str]]:
-    """W = (best rank-r part of Zbar) R, the SVD of Zbar, and the warnings."""
+            ) -> tuple[np.ndarray, list[str]]:
+    """W = (best rank-r part of Zbar) R, and the warnings."""
     f, r = linalg.svd(zbar), problem.r
     warnings = [WARN_RANK_VACUOUS] if WARN_RANK_VACUOUS in problem.flags else []
     if f.rank <= r:
         warnings.append(WARN_RANK_ASSUMPTION)
-    if 0 < r < f.sigma.size and f.sigma[r - 1] <= f.sigma[r] * (1.0 + tol.SPECTRAL_GAP_REL):
+    if 0 < r < f.sigma.size and f.tied(r - 1):
         warnings.append(WARN_NON_UNIQUE)
-    return f.select(slice(0, r)) @ right, f, warnings
+    return f.select(slice(0, r)) @ right, warnings
 
 
 def _solve(problem: RegressionProblem, mode: str, loss) -> RankBoundedSolution:
-    w, _, warnings = _rank_r(problem, *_Targets(problem)(mode, problem.lam))
+    w, warnings = _rank_r(problem, *_Targets(problem)(mode, problem.lam))
     return RankBoundedSolution(
         w=w,
         loss=float(loss(w)),
@@ -261,9 +260,8 @@ def regularization_path(problem: RegressionProblem, lambdas) -> list[PathSample]
     """Penalized optima along an increasing grid of positive lambdas.
 
     Each sample records the Frobenius distance to the hard-constrained
-    optimum; the path converges to it as lambda grows. SpectralGapSmall is
-    attached wherever sigma_r - sigma_{r+1} < 1e-8 sigma_1 of the whitened
-    target (truncation, hence the path, is numerically fragile there).
+    optimum; the path converges to it as lambda grows. Each sample carries
+    its optimum's solver warnings: NonUniqueOptimum marks a tied truncation.
     """
     lams = [float(v) for v in lambdas]
     if not lams:
@@ -273,14 +271,10 @@ def regularization_path(problem: RegressionProblem, lambdas) -> list[PathSample]
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise InvalidGrid("lambda grid must be strictly increasing")
     targets = _Targets(problem)
-    w_inv, _, _ = _rank_r(problem, *targets("constrained"))
-    r = problem.r
+    w_inv, _ = _rank_r(problem, *targets("constrained"))
     samples = []
     for lam in lams:
-        w, f, warnings = _rank_r(problem, *targets("regularized", lam))
-        sigma = f.sigma
-        if 0 < r < sigma.size and sigma[r - 1] - sigma[r] < tol.SPECTRAL_GAP_REL * sigma[0]:
-            warnings.append(WARN_GAP_SMALL)
+        w, warnings = _rank_r(problem, *targets("regularized", lam))
         samples.append(PathSample(lam=lam, w=w, distance_to_inv=float(np.linalg.norm(w - w_inv)),
                                   warnings=tuple(warnings)))
     return samples
@@ -306,7 +300,7 @@ def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[Cri
     if count > tol.MAX_SUBSETS:
         raise TooManySubsets(f"binom({k}, {r}) = {count} exceeds the {tol.MAX_SUBSETS} guard")
     for i in range(k - 1):
-        if f.sigma[i] - f.sigma[i + 1] <= tol.SPECTRAL_GAP_REL * f.sigma[0]:
+        if f.tied(i):
             raise DegenerateSpectrum(
                 f"singular values {i} and {i + 1} coincide within relative gap "
                 f"{tol.SPECTRAL_GAP_REL:.0e}"

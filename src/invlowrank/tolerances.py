@@ -24,9 +24,8 @@ SYMMETRY = 1e-10
 # Penrose identity residuals for pseudoinverses
 PENROSE = 1e-8
 
-# sigma_r must exceed sigma_{r+1} * (1 + SPECTRAL_GAP_REL) for a unique
-# rank-r truncation; critical-point enumeration requires pairwise-distinct
-# nonzero singular values at the same relative gap
+# singular values i, i+1 are tied when sigma_i - sigma_{i+1} <= SPECTRAL_GAP_REL * sigma_max
+# (linalg.SvdFactors.tied): a tie at r-1 makes the rank-r truncation non-unique
 SPECTRAL_GAP_REL = 1e-8
 
 # invariance residual of closed-form solutions: ||WG||_F < INVARIANCE_REL * ||W||_F * ||G||_F
@@ -35,8 +34,20 @@ INVARIANCE_REL = 1e-9
 # orbit mean below this magnitude makes the relative invariance error undefined
 ORBIT_MEAN_FLOOR = 1e-12
 
-# kernel solve: ||(K + jitter I) a - y|| <= KERNEL_RESIDUAL * ||y||
+# a basis row's first entry above BASIS_SIGN_FLOOR * max(1, max|row|) is made positive
+BASIS_SIGN_FLOOR = 1e-12
+
+# kernel solve: ||(K + jitter I) a - y|| <= KERNEL_RESIDUAL * ||y||, with the
+# default jitter KERNEL_JITTER_REL * trace(K) / n
 KERNEL_RESIDUAL = 1e-6
+KERNEL_JITTER_REL = 1e-10
+
+# ntk-check pass bounds: exact kernel identities within KERNEL_IDENTITY, the
+# Monte-Carlo kernel within MONTE_CARLO_SE standard errors of the limit, and the
+# augmented interpolant's orbit spread within PREDICTOR_INVARIANCE_REL * max|target|
+KERNEL_IDENTITY = 1e-12
+MONTE_CARLO_SE = 3.0
+PREDICTOR_INVARIANCE_REL = 1e-6
 
 # guard on the number of enumerated index subsets
 MAX_SUBSETS = 10**6

@@ -49,10 +49,6 @@ class LinearNetParams:
             if b.shape[1] != a.shape[0]:
                 raise ShapeMismatch(f"layer shapes {a.shape} -> {b.shape} do not chain")
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -294,21 +290,18 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     if config.loss == "cross_entropy":
         _check_one_hot(y_train)
 
-    def composed(p: LinearNetParams) -> np.ndarray:
-        w = end_to_end(p)
-        return w @ basis if config.mode == "hardwired" else w
-
     initial = objective_fn(end_to_end(params), x_train, y_train, lam, g)
     records = []
     for epoch in range(config.epochs):
         grads = gradient(params, x_train, y_train, loss=config.loss, lam=lam, g=g)
         params, state = adam_step(params, state, grads, config)
-        objective = objective_fn(end_to_end(params), x_train, y_train, lam, g)
+        w = end_to_end(params)
+        objective = objective_fn(w, x_train, y_train, lam, g)
         if not np.isfinite(objective) or objective > tol.DIVERGENCE_FACTOR * max(initial, 1e-300):
             raise DivergenceDetected(
                 f"objective {objective:.3e} exceeded {tol.DIVERGENCE_FACTOR:.0e} x initial at epoch {epoch}"
             )
-        w_full = composed(params)
+        w_full = w @ basis if config.mode == "hardwired" else w
         _, w_perp, ratio = invariance_decomposition(w_full, constraint)
         records.append(
             EpochRecord(
@@ -319,7 +312,7 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
                 accuracy=_accuracy(w_full @ x, y),
             )
         )
-    return TrainLog(records=tuple(records), final_w=composed(params))
+    return TrainLog(records=tuple(records), final_w=w_full)
 
 
 def nonlinear_forward(params: NonlinearNetParams, x: np.ndarray) -> np.ndarray:

@@ -14,6 +14,29 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+def loop_signed_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, sigma, V) with linalg.svd's sign convention, one column at a time.
+
+    Each left singular vector is flipped so its first largest-magnitude entry
+    is positive, and its right partner flips with it; every column of U or V
+    without a singular value is flipped by its own largest entry. A bit-exact
+    reference for the vectorized sign pass.
+    """
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=float), full_matrices=True)
+    u, v = u.copy(), vt.T.copy()
+    for i in range(s.size):
+        j = int(np.argmax(np.abs(u[:, i])))
+        if u[j, i] < 0:
+            u[:, i] = -u[:, i]
+            v[:, i] = -v[:, i]
+    for vecs in (u, v):
+        for i in range(s.size, vecs.shape[1]):
+            j = int(np.argmax(np.abs(vecs[:, i])))
+            if vecs[j, i] < 0:
+                vecs[:, i] = -vecs[:, i]
+    return u, s, v
+
+
 def _truncate_rank(m: np.ndarray, r: int) -> np.ndarray:
     """Best rank-r part of m, or of each matrix in a stack."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from invlowrank import tolerances as tol
 from invlowrank.cli import entry
 from invlowrank.matio import read_matrix, write_matrix
 
@@ -240,6 +241,21 @@ def test_ntk_check_small_width_passes(tmp_path, capsys):
     assert suites == {"equivariance", "monte_carlo", "orbit_symmetrized",
                       "augmented_predictor"}
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+def test_ntk_check_monte_carlo_bound_reads_tolerances(tmp_path, capsys, monkeypatch):
+    conf = write_config(tmp_path / "ntk.conf", group="c4_image:2", width=256, trials=3, seed=1)
+
+    def monte_carlo_bounds(out):
+        run_cli(["ntk-check", "--config", conf, "--out", str(out)], capsys)
+        rows = [line.split(",") for line in (out / "ntk.csv").read_text().splitlines()[1:]]
+        return [float(row[3]) for row in rows if row[0] == "monte_carlo"]
+
+    base = monte_carlo_bounds(tmp_path / "base")
+    monkeypatch.setattr(tol, "MONTE_CARLO_SE", 2.0 * tol.MONTE_CARLO_SE)
+    doubled = monte_carlo_bounds(tmp_path / "doubled")
+    assert len(base) == 3 and all(b > 0 for b in base)
+    assert doubled == [2.0 * b for b in base]
 
 
 def test_train_full_run_matches_solve(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from invlowrank import linalg
 from invlowrank.errors import NotPositiveDefinite, NotSymmetric, RankOutOfRange
 
-from oracles import random_rank_r_matrices
+from oracles import loop_signed_svd, random_rank_r_matrices
 
 
 def test_svd_diagonal():
@@ -41,6 +41,44 @@ def test_svd_sign_convention_deterministic():
     for i in range(5):
         j = np.argmax(np.abs(f1.u[:, i]))
         assert f1.u[j, i] > 0
+
+
+def _svd_sign_cases():
+    rng = np.random.default_rng(5)
+    yield rng.standard_normal((7, 3))                                # tall
+    yield rng.standard_normal((3, 7))                                # wide
+    yield rng.standard_normal((5, 5))                                # square
+    yield rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))  # rank-deficient
+    yield np.ones((3, 4))                                            # magnitude ties
+    yield -np.eye(3)
+    yield np.zeros((4, 3))
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        yield np.zeros(shape)
+
+
+def test_svd_signs_bit_equal_to_column_loop():
+    for m in _svd_sign_cases():
+        f = linalg.svd(m)
+        u, s, v = loop_signed_svd(m)
+        assert f.u.shape == u.shape and f.v.shape == v.shape, m.shape
+        assert np.array_equal(f.u, u) and np.array_equal(f.sigma, s), m.shape
+        assert np.array_equal(f.v, v), m.shape
+
+
+def test_svd_factors_tied_is_relative_to_sigma_max():
+    def tied(sigma, i):
+        sigma = np.asarray(sigma, dtype=float)
+        eye = np.eye(sigma.size)
+        return linalg.SvdFactors(u=eye, sigma=sigma, v=eye).tied(i)
+
+    assert tied([2.0, 1.0, 1.0], 1)                        # exact tie
+    assert not tied([2.0, 1.0, 1.0], 0)
+    assert tied([1e4, 1.0, 1.0 - 0.9e-4], 1)               # gap just below 1e-8 sigma_max
+    assert not tied([1e4, 1.0, 1.0 - 1.1e-4], 1)           # gap just above
+    assert not tied([1.0, 0.5, 0.5 - 1.1e-8], 1)
+    assert tied([1.0, 0.5, 0.5 - 0.9e-8], 1)
+    zero = linalg.svd(np.zeros((3, 3)))
+    assert all(zero.tied(i) for i in range(2))
 
 
 def test_best_rank_r_diagonal():

@@ -341,6 +341,20 @@ def test_critical_points_degenerate_spectrum():
         enumerate_critical_points(prob, "constrained")
 
 
+def test_one_tie_rule_for_solver_path_and_enumeration():
+    # sigma = (1e4, 1, 1 - 1e-6): the gap 1e-6 is large against sigma_2 but
+    # below 1e-8 sigma_max, so every reader calls sigma_2, sigma_3 tied
+    prob = RegressionProblem(x=np.eye(3), y=np.diag([1e4, 1.0, 1.0 - 1e-6]), r=2,
+                             rep=trivial_rep(3))
+    assert "NonUniqueOptimum" in solve_constrained(prob).warnings
+    assert "NonUniqueOptimum" in solve_regularized(with_lambda(prob, 0.5)).warnings
+    samples = regularization_path(prob, [1e-3, 1.0, 1e3])
+    assert all("NonUniqueOptimum" in s.warnings for s in samples)
+    assert not any("SpectralGapSmall" in s.warnings for s in samples)
+    with pytest.raises(DegenerateSpectrum):
+        enumerate_critical_points(prob, "constrained")
+
+
 def test_critical_points_subset_guard():
     rng = np.random.default_rng(22)
     d = 44
