@@ -2,8 +2,9 @@
 
 A representation is given by one or more generator matrices with declared
 orders. A linear map W is invariant exactly when W G = 0 for the constraint
-matrix G built from blocks I - rho(g_m); equivariant maps are characterized
-the same way on vec(W) through Kronecker blocks.
+matrix G built from blocks I - rho(g_m); one cached SVD of G decides the
+nullity, the invariant basis and the projector. Equivariance is invariance of
+the tensor representation rho_X (x) rho_Y(g^-1)^T acting on vec(W).
 
 Group elements and averages are only enumerated for single-generator
 (cyclic) representations; multi-generator groups are supported through the
@@ -27,6 +28,7 @@ from .errors import (
     NonSquare,
     NotARepresentation,
     OrderMismatch,
+    ShapeMismatch,
 )
 
 
@@ -74,8 +76,8 @@ class ConstraintMatrix:
 
     @cached_property
     def nullity(self) -> int:
-        """Dimension of the invariant subspace: d0 minus the rank of G, from its singular values."""
-        return self.dim - linalg.numerical_rank(self.entries)
+        """Dimension of the invariant subspace: d0 minus the rank of G's one cached SVD."""
+        return self.dim - self.factors.rank
 
     @cached_property
     def factors(self) -> linalg.SvdFactors:
@@ -92,19 +94,6 @@ class ConstraintMatrix:
 def constraint_entries(g: ConstraintMatrix | np.ndarray) -> np.ndarray:
     """The matrix G of a ConstraintMatrix, or an array-like G as a float array."""
     return g.entries if isinstance(g, ConstraintMatrix) else np.asarray(g, dtype=float)
-
-
-@dataclass(frozen=True)
-class EquivarianceConstraint:
-    """Horizontally stacked Kronecker blocks acting on vec(W).
-
-    Block m is rho_X(g_m)^T (x) rho_Y(g_m^-1) - I; vec(W) (column-major) is
-    annihilated by every block exactly when W rho_X(g) = rho_Y(g) W for all
-    group elements.
-    """
-
-    entries: np.ndarray  # (d0*dL) x (M * d0*dL)
-    block_dim: int
 
 
 def _validate_generator(gen: np.ndarray, order: int) -> np.ndarray:
@@ -180,6 +169,12 @@ def rotation_2d(k: int) -> GroupRep:
     return rep_from_generator(gen, k)
 
 
+def check_acts_on(rep: GroupRep, x: np.ndarray) -> None:
+    """Raise ShapeMismatch unless x has rep.dim rows, so that rho(g) @ x is defined."""
+    if np.ndim(x) == 0 or np.shape(x)[0] != rep.dim:
+        raise ShapeMismatch(f"input {np.shape(x)} lacks the {rep.dim} rows the group acts on")
+
+
 def element(rep: GroupRep, j: int) -> np.ndarray:
     """rho(g^j); cyclic reps only."""
     if j < 0 or j >= rep.order:
@@ -211,41 +206,16 @@ def invariance_constraint(rep: GroupRep) -> ConstraintMatrix:
     return ConstraintMatrix(entries=_freeze(np.hstack(blocks)))
 
 
-def equivariance_constraint(rep_x: GroupRep, rep_y: GroupRep) -> EquivarianceConstraint:
-    """Kronecker constraint blocks rho_X(g_m)^T (x) rho_Y(g_m^-1) - I on vec(W)."""
+def equivariance_constraint(rep_x: GroupRep, rep_y: GroupRep) -> ConstraintMatrix:
+    """The invariance constraint of rho_X(g) (x) rho_Y(g^-1)^T on vec(W) (column-major).
+
+    W rho_X(g) = rho_Y(g) W exactly when rho_X(g)^T (x) rho_Y(g^-1) fixes vec(W).
+    """
     if rep_x.orders != rep_y.orders:
         raise OrderMismatch(f"group orders differ: {rep_x.orders} vs {rep_y.orders}")
-    dim = rep_x.dim * rep_y.dim
-    blocks = []
-    for gx, gy, order in zip(rep_x.generators, rep_y.generators, rep_x.orders):
-        gy_inv = np.linalg.matrix_power(gy, order - 1)
-        blocks.append(np.kron(gx.T, gy_inv) - np.eye(dim))
-    return EquivarianceConstraint(entries=_freeze(np.hstack(blocks)), block_dim=dim)
-
-
-def equivariant_null_basis(constraint: EquivarianceConstraint) -> np.ndarray:
-    """Orthonormal rows spanning {v : B_m v = 0 for every block B_m}.
-
-    Rows are vectorized (column-major) equivariant maps.
-    """
-    dim = constraint.block_dim
-    n_blocks = constraint.entries.shape[1] // dim
-    stacked = np.vstack([constraint.entries[:, m * dim:(m + 1) * dim] for m in range(n_blocks)])
-    f = linalg.svd(stacked)
-    if f.rank == dim:
-        raise EmptyNullSpace("no equivariant maps for these representations")
-    return _fix_row_signs(f.v[:, f.rank:].T)
-
-
-def _fix_row_signs(basis: np.ndarray) -> np.ndarray:
-    basis = basis.copy()
-    for i in range(basis.shape[0]):
-        row = basis[i]
-        floor = tol.BASIS_SIGN_FLOOR * max(1.0, float(np.max(np.abs(row))))
-        nonzero = np.nonzero(np.abs(row) > floor)[0]
-        if nonzero.size and row[nonzero[0]] < 0:
-            basis[i] = -row
-    return basis
+    gens = tuple(_freeze(np.kron(gx, np.linalg.matrix_power(gy, order - 1).T))
+                 for gx, gy, order in zip(rep_x.generators, rep_y.generators, rep_x.orders))
+    return invariance_constraint(GroupRep(generators=gens, orders=rep_x.orders))
 
 
 def invariant_basis(constraint: ConstraintMatrix) -> np.ndarray:
@@ -256,7 +226,17 @@ def invariant_basis(constraint: ConstraintMatrix) -> np.ndarray:
     """
     if constraint.nullity == 0:
         raise EmptyNullSpace("constraint has full row rank: no invariant maps")
-    return _fix_row_signs(constraint.factors.u[:, constraint.dim - constraint.nullity:].T)
+    basis = constraint.factors.u[:, constraint.dim - constraint.nullity:].T.copy()
+    for row in basis:
+        floor = tol.BASIS_SIGN_FLOOR * max(1.0, float(np.max(np.abs(row))))
+        nonzero = np.nonzero(np.abs(row) > floor)[0]
+        if nonzero.size and row[nonzero[0]] < 0:
+            row *= -1.0
+    return basis
+
+
+# the rows of an equivariance constraint's invariant basis are vectorized equivariant maps
+equivariant_null_basis = invariant_basis
 
 
 def is_unitary(rep: GroupRep, tolerance: float = tol.ORTHOGONALITY) -> bool:

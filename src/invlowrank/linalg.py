@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import NoConvergence, NotPositiveDefinite, NotSymmetric, RankOutOfRange
+from .errors import (NoConvergence, NotPositiveDefinite, NotSymmetric, RankOutOfRange,
+                     ShapeMismatch)
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,13 @@ def _largest_entry_signs(rows: np.ndarray) -> np.ndarray:
 def svd(m: np.ndarray) -> SvdFactors:
     """Full SVD with deterministic signs.
 
-    Raises NoConvergence if the underlying iteration fails (ill-conditioned
-    input or an upstream bug); numpy's divide-and-conquer driver converges
-    for all finite inputs in practice.
+    Raises ShapeMismatch unless m is 2-d, and NoConvergence if the underlying
+    iteration fails (ill-conditioned input or an upstream bug); numpy's
+    divide-and-conquer routine converges for all finite inputs in practice.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ShapeMismatch(f"expected a 2-d matrix, got shape {m.shape}")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:

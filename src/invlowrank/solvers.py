@@ -6,7 +6,8 @@ factor R; its optimum of rank <= r is the best rank-r part of Zbar (its top
 r singular triples; a bound r >= min(d0, dL) keeps them all), times R. With
 P = (X X^T)^(1/2), Z = Y X^T P^-1 and G~ = P^-1 G:
 
-* hard-wired (W G = 0): Zbar = Z (I - G~ G~^+), R = P^-1;
+* hard-wired (W G = 0): Zbar = Z (I - A A^+) with A = P^-1 U_m, R = P^-1,
+  where U_m spans col(G) by G's one cached SVD, so col(A) = col(G~);
 * regularized (+ lambda ||W G||_F^2): Zbar = Z B(lambda)^-1,
   R = B(lambda)^-1 P^-1, B(lambda) = (I + n lambda G~ G~^T)^(1/2). One
   eigendecomposition G~ G~^T = V diag(mu) V^T serves every lambda:
@@ -44,8 +45,8 @@ from .errors import (
     SingularData,
     TooManySubsets,
 )
-from .groups import (ConstraintMatrix, GroupRep, constraint_entries, elements, group_average,
-                     invariance_constraint)
+from .groups import (ConstraintMatrix, GroupRep, check_acts_on, constraint_entries, elements,
+                     group_average, invariance_constraint)
 
 WARN_RANK_VACUOUS = "RankConstraintVacuous"
 WARN_RANK_ASSUMPTION = "RankAssumptionViolated"
@@ -160,17 +161,16 @@ class _Targets:
         self.problem = problem
 
     @cached_property
-    def _whitened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """P^-1, Z = Y X^T P^-1, and G~ = P^-1 G."""
+    def _whitened(self) -> tuple[np.ndarray, np.ndarray]:
+        """P^-1 and Z = Y X^T P^-1."""
         problem = self.problem
         p_inv = _pd_inv_sqrt(problem.x @ problem.x.T)
-        z = problem.y @ problem.x.T @ p_inv
-        return p_inv, z, p_inv @ problem.constraint.entries
+        return p_inv, problem.y @ problem.x.T @ p_inv
 
     @cached_property
     def _penalty_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(mu, V) with G~ G~^T = V diag(mu) V^T; the nullity(G) smallest mu are exactly 0."""
-        g_t = self._whitened[2]
+        g_t = self._whitened[0] @ self.problem.constraint.entries
         mu, v = np.linalg.eigh(g_t @ g_t.T)
         mu[:self.problem.constraint.nullity] = 0.0
         return mu, v
@@ -184,9 +184,15 @@ class _Targets:
             xxt = problem.x @ problem.x.T
             q_inv = _pd_inv_sqrt(sum(g @ xxt @ g.T for g in elements(rep)))
             return rep.order * problem.y @ problem.x.T @ group_average(rep).T @ q_inv, q_inv
-        p_inv, z, g_t = self._whitened
+        p_inv, z = self._whitened
         if mode == "constrained":
-            return z @ linalg.left_null_projector(g_t), p_inv
+            # col(G~) = P^-1 col(G) = P^-1 U_m, where U_m holds G's m = rank(G) leading left
+            # singular vectors, so G's one SVD decides the subspace. pinv cannot drop any of
+            # the m columns: U_m is orthonormal, so cond(P^-1 U_m) <= cond(P) <= 1e6 by the
+            # PD check on X X^T, far inside the rank cutoff (about 2e-10 relative at d0 = 196).
+            constraint = problem.constraint
+            u_m = constraint.factors.u[:, :constraint.dim - constraint.nullity]
+            return z @ linalg.left_null_projector(p_inv @ u_m), p_inv
         if mode == "regularized":
             mu, v = self._penalty_eigh
             b_inv = (v / np.sqrt(1.0 + problem.n * lam * mu)) @ v.T
@@ -241,6 +247,7 @@ def solve_regularized(problem: RegressionProblem) -> RankBoundedSolution:
 
 def augmented_risk(w: np.ndarray, x: np.ndarray, y: np.ndarray, rep: GroupRep) -> float:
     """Orbit-averaged risk (1/(n|G|)) sum_g ||W rho(g) X - Y||_F^2."""
+    check_acts_on(rep, x)
     n = x.shape[1]
     total = sum(float(np.linalg.norm(w @ (g @ x) - y) ** 2) for g in elements(rep))
     return total / (n * rep.order)
@@ -325,7 +332,8 @@ def empirical_risk(w: np.ndarray, x: np.ndarray, y: np.ndarray,
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if w.shape[1] != x.shape[0] or w.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]:
+    if (any(a.ndim != 2 for a in (w, x, y))
+            or w.shape[1] != x.shape[0] or w.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]):
         raise ShapeMismatch(f"W {w.shape}, X {x.shape}, Y {y.shape} do not chain")
     risk = float(np.linalg.norm(w @ x - y) ** 2) / x.shape[1]
     if g is not None:
@@ -346,8 +354,8 @@ def invariance_decomposition(w: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, 
     """
     w = np.asarray(w, dtype=float)
     entries = constraint_entries(g)
-    if w.shape[1] != entries.shape[0]:
-        raise ShapeMismatch(f"W cols {w.shape[1]} != constraint rows {entries.shape[0]}")
+    if w.ndim != 2 or w.shape[1] != entries.shape[0]:
+        raise ShapeMismatch(f"W {w.shape} does not act on the {entries.shape[0]} constraint rows")
     if isinstance(g, ConstraintMatrix):
         w_inv = w @ g.null_projector
     else:

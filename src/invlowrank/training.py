@@ -30,7 +30,7 @@ from .errors import (
     OrbitMeanZero,
     ShapeMismatch,
 )
-from .groups import (ConstraintMatrix, GroupRep, constraint_entries, elements,
+from .groups import (ConstraintMatrix, GroupRep, check_acts_on, constraint_entries, elements,
                      invariance_constraint, invariant_basis)
 from .solvers import empirical_risk, invariance_decomposition
 
@@ -233,6 +233,9 @@ def adam_step(params: LinearNetParams, state: AdamState,
 def augment_dataset(x: np.ndarray, y: np.ndarray,
                     rep: GroupRep) -> tuple[np.ndarray, np.ndarray]:
     """Group-element-major stacking [rho(g^0)X | rho(g^1)X | ...], Y repeated."""
+    check_acts_on(rep, x)
+    if np.shape(x)[1:] != np.shape(y)[1:]:
+        raise ShapeMismatch(f"X {np.shape(x)} and Y {np.shape(y)} must share a sample axis")
     mats = elements(rep)
     x_aug = np.hstack([g @ x for g in mats])
     y_aug = np.hstack([y] * len(mats))
@@ -279,6 +282,8 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
         x_train, y_train = augment_dataset(x, y, rep)
     elif config.mode == "hardwired":
         basis = invariant_basis(constraint) if basis is None else np.asarray(basis, dtype=float)
+        if basis.ndim != 2 or basis.shape[1] != x.shape[0]:
+            raise ShapeMismatch(f"basis {basis.shape} does not act on d0 = {x.shape[0]} inputs")
         x_train = basis @ x
     else:
         lam, g = config.lam, constraint
@@ -345,6 +350,7 @@ def epsilon_inv(predict: Callable[[np.ndarray], float], x: np.ndarray,
     Zero exactly for invariant predictors; undefined (OrbitMeanZero) when
     the orbit mean is numerically zero.
     """
+    check_acts_on(rep, x)
     values = np.array([float(predict(g @ x)) for g in elements(rep)])
     mean = float(values.mean())
     if abs(mean) < tol.ORBIT_MEAN_FLOOR:

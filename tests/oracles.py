@@ -158,3 +158,38 @@ def tangent_residual(target: np.ndarray, point: np.ndarray, r: int) -> float:
     uu = u @ (u.T @ xi)
     proj = uu + (xi - uu) @ v @ v.T
     return float(np.linalg.norm(proj))
+
+
+def factored_hessian_inertia(x: np.ndarray, y: np.ndarray, w: np.ndarray, r: int,
+                             g: np.ndarray | None = None, lam: float = 0.0,
+                             h: float = 1e-6, rel: float = 1e-6) -> tuple[int, int]:
+    """(negative, zero) eigenvalue counts of the depth-2 factored objective's Hessian.
+
+    The objective is f(L, R) = (1/n)||L R^T X - Y||^2, plus lam ||L R^T G||^2
+    when G is given, at the balanced factorization L = U_r S_r^(1/2),
+    R = V_r S_r^(1/2) of W. The Hessian is built by central differences of
+    the analytic gradient; an eigenvalue counts as negative below
+    -rel * max|eig| and as zero within +-rel * max|eig|.
+    """
+    n = x.shape[1]
+    dl, d0 = w.shape
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    root = np.sqrt(s[:r])
+    theta = np.concatenate([(u[:, :r] * root).ravel(), (vt[:r].T * root).ravel()])
+
+    def grad(t):
+        left, right = t[:dl * r].reshape(dl, r), t[dl * r:].reshape(d0, r)
+        w_t = left @ right.T
+        dw = (2.0 / n) * (w_t @ x - y) @ x.T
+        if g is not None:
+            dw = dw + 2.0 * lam * w_t @ g @ g.T
+        return np.concatenate([(dw @ right).ravel(), (dw.T @ left).ravel()])
+
+    hess = np.empty((theta.size, theta.size))
+    for k in range(theta.size):
+        step = np.zeros_like(theta)
+        step[k] = h
+        hess[:, k] = (grad(theta + step) - grad(theta - step)) / (2.0 * h)
+    eig = np.linalg.eigvalsh((hess + hess.T) / 2.0)
+    cutoff = rel * float(np.max(np.abs(eig)))
+    return int(np.sum(eig < -cutoff)), int(np.sum(np.abs(eig) <= cutoff))

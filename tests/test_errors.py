@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from invlowrank import activations, groups, ntk, solvers, training
-from invlowrank.errors import ConfigError, HarnessError, InvalidArgument
+from invlowrank import activations, groups, linalg, ntk, solvers, training
+from invlowrank.errors import ConfigError, HarnessError, InvalidArgument, ShapeMismatch
 
 from helpers import embedded_cycle_rep
 
@@ -54,3 +54,34 @@ def test_bad_argument_raises_typed_error(call):
     assert isinstance(excinfo.value, InvalidArgument)
     assert isinstance(excinfo.value, ConfigError)
     assert isinstance(excinfo.value, ValueError)
+
+
+def _hardwired_with_basis(basis):
+    x = np.random.default_rng(0).standard_normal((4, 8))
+    return training.train(training.TrainConfig(mode="hardwired", epochs=1, seed=0), (2,),
+                          x, x[:2], rep=embedded_cycle_rep(4, 2), basis=basis)
+
+
+SHAPE_CALLS = {
+    "training.augment_dataset_rows": lambda: training.augment_dataset(
+        np.ones((3, 5)), np.ones((2, 5)), embedded_cycle_rep(4, 2)),
+    "training.augment_dataset_samples": lambda: training.augment_dataset(
+        np.ones((4, 5)), np.ones((2, 6)), embedded_cycle_rep(4, 2)),
+    "solvers.augmented_risk_rows": lambda: solvers.augmented_risk(
+        np.ones((2, 4)), np.ones((3, 5)), np.ones((2, 5)), embedded_cycle_rep(4, 2)),
+    "training.epsilon_inv_rows": lambda: training.epsilon_inv(
+        lambda v: 1.0, np.ones(3), embedded_cycle_rep(4, 2)),
+    "training.hardwired_basis_columns": lambda: _hardwired_with_basis(np.ones((3, 5))),
+    "solvers.invariance_decomposition_1d": lambda: solvers.invariance_decomposition(
+        np.ones(2), SWAP),
+    "solvers.empirical_risk_1d": lambda: solvers.empirical_risk(
+        np.ones(2), np.ones((2, 3)), np.ones((1, 3))),
+    "linalg.svd_1d": lambda: linalg.svd(np.ones(3)),
+    "linalg.best_rank_r_1d": lambda: linalg.best_rank_r(np.ones(3), 1),
+}
+
+
+@pytest.mark.parametrize("call", list(SHAPE_CALLS.values()), ids=list(SHAPE_CALLS))
+def test_bad_shape_raises_shape_mismatch(call):
+    with pytest.raises(ShapeMismatch):
+        call()

@@ -298,3 +298,33 @@ def test_constraint_factors_g_once(monkeypatch):
     groups.invariant_basis(c)
     c.null_projector
     assert calls == [(9, 9)]
+
+
+def test_one_svd_decides_nullity_basis_and_projector(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    c = groups.invariance_constraint(groups.c4_image_rotation(3))
+    assert c.nullity == 3
+    groups.invariant_basis(c)
+    c.null_projector
+    assert calls == [((9, 9), True)]
+
+
+def test_equivariance_constraint_is_invariance_of_the_tensor_rep():
+    # a non-unitary order-3 output rep, where rho_Y(g^-1)^T differs from rho_Y(g):
+    # Hom(regular + trivial, regular) of C3 has dimension 3 + 1
+    rep_x, rep_y = embedded_cycle_rep(4, 3), skewed_cycle_rep(3, 3)
+    constraint = groups.equivariance_constraint(rep_x, rep_y)
+    assert isinstance(constraint, groups.ConstraintMatrix)
+    basis = groups.equivariant_null_basis(constraint)
+    assert basis.shape == (constraint.nullity, 12) == (4, 12)
+    gx, gy = rep_x.generators[0], rep_y.generators[0]
+    for row in basis:
+        w = row.reshape((3, 4), order="F")
+        assert np.linalg.norm(w @ gx - gy @ w) < 1e-10

@@ -25,10 +25,12 @@ from invlowrank.solvers import (
     solve_regularized,
     with_lambda,
 )
+from invlowrank.training import augment_dataset
 
 from helpers import embedded_cycle_rep, random_problem, skewed_cycle_rep, trivial_rep
 from oracles import (
     factored_gradient_descent,
+    factored_hessian_inertia,
     projected_gradient_augmented,
     projected_gradient_constrained,
 )
@@ -197,8 +199,6 @@ def test_augmented_broken_order_axiom_not_invariant():
 
 
 def test_augmented_beats_projected_gradient_oracle():
-    from invlowrank.training import augment_dataset
-
     prob = random_problem(seed=12, d0=8, dl=5, order=4, r=2, n=20)
     sol = solve_augmented(prob)
     x_aug, y_aug = augment_dataset(prob.x, prob.y, prob.rep)
@@ -428,3 +428,95 @@ def test_rank_warnings():
     tied = RegressionProblem(x=np.eye(3), y=np.diag([3.0, 3.0, 1.0]), r=1,
                              rep=trivial_rep(3))
     assert "NonUniqueOptimum" in solve_constrained(tied).warnings
+
+
+def _split_verdict_problem(g_small: float, x_small: float) -> RegressionProblem:
+    # G = diag(1, g_small) and X = diag(1, x_small): whitening rescales G's small
+    # singular value to g_small / x_small, across the rank cutoff
+    return RegressionProblem(x=np.diag([1.0, x_small]), y=np.array([[1.0, 1.0]]), r=1,
+                             constraint=groups.ConstraintMatrix(np.diag([1.0, g_small])))
+
+
+def test_constrained_optimum_lives_on_the_invariant_basis():
+    # G has nullity 1 (basis e2) although the whitened G~ = diag(1, 1e-10) has full rank
+    prob = _split_verdict_problem(1e-13, 1e-3)
+    basis = groups.invariant_basis(prob.constraint)
+    bx = basis @ prob.x
+    fit = np.linalg.lstsq(bx.T, prob.y.T, rcond=None)[0].T @ basis
+    assert np.allclose(fit, [[0.0, 1000.0]], rtol=1e-12)
+    assert np.linalg.norm(solve_constrained(prob).w - fit) <= 1e-12 * np.linalg.norm(fit)
+
+
+def test_path_converges_to_the_constrained_optimum_of_the_same_verdict():
+    prob = _split_verdict_problem(1e-13, 1e-3)
+    dists = [s.distance_to_inv for s in regularization_path(prob, [1e2, 1e4, 1e6])]
+    assert dists[0] > dists[1] > dists[2]
+    assert dists[2] < 1e-5
+
+
+def test_constrained_critical_points_of_the_same_verdict():
+    points = enumerate_critical_points(_split_verdict_problem(1e-13, 1e-3), "constrained")
+    assert len(points) == 1 and points[0].is_global_min
+    assert np.allclose(points[0].w, [[0.0, 1000.0]], rtol=1e-12)
+
+
+def test_full_rank_constraint_leaves_only_the_zero_map():
+    # G has nullity 0 although the whitened G~ = diag(1, 1e-13) falls below the cutoff
+    prob = _split_verdict_problem(1e-10, 1e3)
+    assert prob.constraint.nullity == 0
+    assert np.linalg.norm(solve_constrained(prob).w) < 1e-12
+
+
+SADDLE_INSTANCES = [(6, 5, 6, 1, 30), (6, 4, 3, 2, 30), (8, 6, 4, 2, 40), (8, 5, 4, 3, 40)]
+
+
+@pytest.mark.parametrize("mode", ["constrained", "augmented", "regularized"])
+@pytest.mark.parametrize("d0, dl, order, r, n", SADDLE_INSTANCES)
+def test_critical_points_are_saddles_except_the_global_min(d0, dl, order, r, n, mode):
+    # the abstract's claim: every critical point but the global optimum is a strict
+    # saddle of the depth-2 factored loss, with the index the swapped pairs predict
+    prob = random_problem(seed=0, d0=d0, dl=dl, order=order, r=r, n=n)
+    x, y, coords, g, lam = prob.x, prob.y, lambda w: w, None, 0.0
+    if mode == "constrained":
+        basis = groups.invariant_basis(prob.constraint)
+        x, coords = basis @ prob.x, lambda w: w @ basis.T
+    elif mode == "augmented":
+        x, y = augment_dataset(prob.x, prob.y, prob.rep)
+    else:
+        prob = with_lambda(prob, 0.1)
+        g, lam = prob.constraint.entries, prob.lam
+    for point in enumerate_critical_points(prob, mode):
+        negative, zero = factored_hessian_inertia(x, y, coords(point.w), r, g=g, lam=lam)
+        # a pair i in I, j not in I with sigma_j > sigma_i is one descent direction
+        swaps = sum(1 for i in point.index_set for j in range(i) if j not in point.index_set)
+        assert negative == swaps
+        assert zero == r * r  # the GL(r) gauge of W = L R^T
+        assert (negative == 0) == point.is_global_min
+
+
+def _random_orthogonal_cycle_rep(rng, d0: int, k: int) -> groups.GroupRep:
+    # Q C Q^T for a k-cycle C on the first k coordinates: unitary, but not a permutation
+    q, _ = np.linalg.qr(rng.standard_normal((d0, d0)))
+    cycle = np.eye(d0)
+    cycle[:k, :k] = np.roll(np.eye(k), 1, axis=0)
+    return groups.rep_from_generator(q @ cycle @ q.T, k)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_paper_identities_on_random_orthogonal_reps(seed):
+    rng = np.random.default_rng(seed)
+    d0 = int(rng.integers(4, 9))
+    k = int(rng.integers(2, min(4, d0 - 1) + 1))  # nullity d0 - k + 1 >= 2 >= r
+    dl, r = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+    rep = _random_orthogonal_cycle_rep(rng, d0, k)
+    prob = random_problem(seed=seed, d0=d0, dl=dl, r=r, n=5 * d0, rep=rep)
+    w_inv = solve_constrained(prob).w
+    assert np.linalg.norm(solve_augmented(prob).w - w_inv) <= 1e-8 * np.linalg.norm(w_inv)
+    set_c = enumerate_critical_points(prob, "constrained")
+    set_a = enumerate_critical_points(prob, "augmented")
+    assert [p.index_set for p in set_c] == [p.index_set for p in set_a]
+    for pc, pa in zip(set_c, set_a):
+        assert np.linalg.norm(pc.w - pa.w) < 1e-8
+    # the penalized optimum approaches the hard-wired one as 1/lambda
+    near, far = (s.lam * s.distance_to_inv for s in regularization_path(prob, [1e4, 1e8]))
+    assert abs(far - near) <= 0.1 * near
