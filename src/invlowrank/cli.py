@@ -20,7 +20,7 @@ import numpy as np
 from . import tolerances as tol
 from .config import ExperimentConfig, load_config, resolve_group
 from .datagen import write_dataset
-from .errors import ConfigError, InvalidConfig, NotUnitary, NumericalError
+from .errors import ConfigError, InvalidConfig, NotUnitary, NumericalError, ShapeMismatch
 from .groups import GroupRep, elements, is_unitary
 from .matio import format_float, read_matrix, write_matrix
 from .ntk import (
@@ -100,6 +100,8 @@ def _read_data(cfg: ExperimentConfig, out: Path) -> tuple[np.ndarray, np.ndarray
     y = read_matrix(_resolve_input(cfg, "y_file", out, "Y.mat"))
     if x.shape[0] != rep.dim:
         raise InvalidConfig(f"X has {x.shape[0]} rows but the group acts on R^{rep.dim}")
+    if x.shape[1] != y.shape[1]:
+        raise ShapeMismatch(f"X {x.shape} and Y {y.shape} must share a sample axis")
     return x, y, rep
 
 
@@ -293,9 +295,11 @@ def ntk_check_cmd(cfg: ExperimentConfig, out: Path):
 @main.command("compare")
 @click.argument("file_a")
 @click.argument("file_b")
-@click.option("--tol", type=float, default=0.0, help="Relative Frobenius tolerance.")
+@click.option("--tol", type=float, default=0.0, help="Relative Frobenius tolerance (>= 0).")
 def compare_cmd(file_a, file_b, tol):
     """Compare two matrix files; exit 0 when equal within --tol, 2 otherwise."""
+    if not tol >= 0.0:
+        raise click.BadParameter(f"{tol} is not a number >= 0", param_hint="'--tol'")
     a = read_matrix(file_a)
     b = read_matrix(file_b)
     if a.shape != b.shape:

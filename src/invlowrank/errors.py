@@ -64,7 +64,7 @@ class RankOutOfRange(ConfigError):
     """Requested rank outside [0, min(rows, cols)]."""
 
 
-class DimensionMismatch(ConfigError):
+class DimensionMismatch(ShapeMismatch):
     """Vectors fed to a kernel have different dimensions."""
 
 

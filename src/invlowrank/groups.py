@@ -139,11 +139,8 @@ def c4_image_rotation(p: int) -> GroupRep:
     if p < 1:
         raise InvalidArgument(f"grid side must be >= 1, got {p}")
     gen = np.zeros((p * p, p * p))
-    for i in range(p):
-        for j in range(p):
-            src = j * p + i
-            dst = (p - 1 - i) * p + j
-            gen[dst, src] = 1.0
+    i, j = np.divmod(np.arange(p * p), p)
+    gen[(p - 1 - i) * p + j, j * p + i] = 1.0
     return rep_from_generator(gen, 4)
 
 

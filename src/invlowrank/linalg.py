@@ -70,6 +70,23 @@ def _largest_entry_signs(rows: np.ndarray) -> np.ndarray:
     return np.where(top < 0, -1.0, 1.0)
 
 
+def as_matrix(m) -> np.ndarray:
+    """m as a float64 array; ShapeMismatch unless it is 2-d."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise ShapeMismatch(f"expected a 2-d matrix, got shape {m.shape}")
+    return m
+
+
+def check_chain(w, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W, X, Y as float64 matrices; ShapeMismatch unless W X - Y is defined."""
+    w, x, y = (np.asarray(a, dtype=float) for a in (w, x, y))
+    if (any(a.ndim != 2 for a in (w, x, y))
+            or w.shape[1] != x.shape[0] or w.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]):
+        raise ShapeMismatch(f"W {w.shape}, X {x.shape}, Y {y.shape} do not chain")
+    return w, x, y
+
+
 def svd(m: np.ndarray) -> SvdFactors:
     """Full SVD with deterministic signs.
 
@@ -77,9 +94,7 @@ def svd(m: np.ndarray) -> SvdFactors:
     iteration fails (ill-conditioned input or an upstream bug); numpy's
     divide-and-conquer routine converges for all finite inputs in practice.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d matrix, got shape {m.shape}")
+    m = as_matrix(m)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
@@ -90,7 +105,7 @@ def svd(m: np.ndarray) -> SvdFactors:
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    m = as_matrix(m)
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -105,7 +120,7 @@ def rank_cutoff(sigma: np.ndarray, shape: tuple[int, int]) -> float:
 
 
 def numerical_rank(m: np.ndarray) -> int:
-    m = np.asarray(m, dtype=float)
+    m = as_matrix(m)
     if m.size == 0:
         return 0
     s = singular_values(m)
@@ -114,7 +129,7 @@ def numerical_rank(m: np.ndarray) -> int:
 
 def best_rank_r(m: np.ndarray, r: int) -> np.ndarray:
     """Closest (Frobenius) matrix of rank <= r: keep the top r singular triples."""
-    m = np.asarray(m, dtype=float)
+    m = as_matrix(m)
     if r < 0 or r > min(m.shape):
         raise RankOutOfRange(f"rank {r} outside [0, {min(m.shape)}]")
     return svd(m).select(slice(0, r))

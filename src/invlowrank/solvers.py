@@ -8,21 +8,20 @@ P = (X X^T)^(1/2), Z = Y X^T P^-1 and G~ = P^-1 G:
 
 * hard-wired (W G = 0): Zbar = Z (I - A A^+) with A = P^-1 U_m, R = P^-1,
   where U_m spans col(G) by G's one cached SVD, so col(A) = col(G~);
-* regularized (+ lambda ||W G||_F^2): Zbar = Z B(lambda)^-1,
-  R = B(lambda)^-1 P^-1, B(lambda) = (I + n lambda G~ G~^T)^(1/2). One
-  eigendecomposition G~ G~^T = V diag(mu) V^T serves every lambda:
-  B(lambda)^-1 = V diag((1 + n lambda mu)^(-1/2)) V^T, with the nullity(G)
-  smallest mu set to exactly 0. As lambda -> infinity, B(lambda)^-1 tends
-  to the projector onto the mu = 0 eigenvectors, which is I - G~ G~^+, so
-  the penalized optimum tends to the hard-wired one at a distance O(1/lambda);
+* regularized (+ lambda ||W G||_F^2): Zbar = Z V D(lambda), R = D(lambda) V^T P^-1,
+  with G~ G~^T = V diag(mu) V^T (the nullity(G) smallest mu set to exactly 0)
+  and D(lambda) = diag((1 + n lambda mu)^(-1/2)). Only D depends on lambda: it
+  runs from I (reduced-rank regression) to the 0/1 mask of the mu = 0
+  eigenvectors, which span the complement of col(G~), so the penalized
+  optimum tends to the hard-wired one at a distance O(1/lambda);
 * data augmentation (risk averaged over the group orbit of X):
   Zbar = |G| Y X^T Gbar^T Q^-1, R = Q^-1, Q = (sum_g rho(g) X X^T rho(g)^T)^(1/2).
 
 The regularization path whitens and factors G~ G~^T once, then takes one
-SVD per lambda. The critical points of each problem on the rank-r variety
-select every size-r index set of Zbar's singular triples instead of the top
-r. The module also computes the invariant/non-invariant decomposition of an
-arbitrary W.
+diagonal scaling and one SVD per lambda. The critical points of each
+problem on the rank-r variety select every size-r index set of Zbar's
+singular triples instead of the top r. The module also computes the
+invariant/non-invariant decomposition of an arbitrary W.
 """
 
 from __future__ import annotations
@@ -153,8 +152,8 @@ class PathSample:
 class _Targets:
     """The whitened target Zbar and right factor R of each mode, for one problem.
 
-    The whitening and the eigendecomposition of G~ G~^T run at most once per
-    instance, so the points of a regularization path share them.
+    The whitening and the penalty eigenbasis run at most once per instance,
+    so the points of a regularization path share them.
     """
 
     def __init__(self, problem: RegressionProblem):
@@ -168,12 +167,13 @@ class _Targets:
         return p_inv, problem.y @ problem.x.T @ p_inv
 
     @cached_property
-    def _penalty_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, V) with G~ G~^T = V diag(mu) V^T; the nullity(G) smallest mu are exactly 0."""
-        g_t = self._whitened[0] @ self.problem.constraint.entries
+    def _penalty_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, Z V, V^T P^-1) with G~ G~^T = V diag(mu) V^T; the nullity(G) smallest mu are 0."""
+        p_inv, z = self._whitened
+        g_t = p_inv @ self.problem.constraint.entries
         mu, v = np.linalg.eigh(g_t @ g_t.T)
         mu[:self.problem.constraint.nullity] = 0.0
-        return mu, v
+        return mu, z @ v, v.T @ p_inv
 
     def __call__(self, mode: str, lam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         problem = self.problem
@@ -194,9 +194,9 @@ class _Targets:
             u_m = constraint.factors.u[:, :constraint.dim - constraint.nullity]
             return z @ linalg.left_null_projector(p_inv @ u_m), p_inv
         if mode == "regularized":
-            mu, v = self._penalty_eigh
-            b_inv = (v / np.sqrt(1.0 + problem.n * lam * mu)) @ v.T
-            return z @ b_inv, b_inv @ p_inv
+            mu, zv, vt_p_inv = self._penalty_eigenbasis
+            d = 1.0 / np.sqrt(1.0 + problem.n * lam * mu)
+            return zv * d, d[:, None] * vt_p_inv
         raise InvalidArgument(f"unknown mode {mode!r}")
 
 
@@ -248,6 +248,7 @@ def solve_regularized(problem: RegressionProblem) -> RankBoundedSolution:
 def augmented_risk(w: np.ndarray, x: np.ndarray, y: np.ndarray, rep: GroupRep) -> float:
     """Orbit-averaged risk (1/(n|G|)) sum_g ||W rho(g) X - Y||_F^2."""
     check_acts_on(rep, x)
+    w, x, y = linalg.check_chain(w, x, y)
     n = x.shape[1]
     total = sum(float(np.linalg.norm(w @ (g @ x) - y) ** 2) for g in elements(rep))
     return total / (n * rep.order)
@@ -329,12 +330,7 @@ def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[Cri
 def empirical_risk(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                    g=None, lam: float = 0.0) -> float:
     """(1/n)||W X - Y||_F^2, plus lambda ||W G||_F^2 when a constraint is given."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if (any(a.ndim != 2 for a in (w, x, y))
-            or w.shape[1] != x.shape[0] or w.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]):
-        raise ShapeMismatch(f"W {w.shape}, X {x.shape}, Y {y.shape} do not chain")
+    w, x, y = linalg.check_chain(w, x, y)
     risk = float(np.linalg.norm(w @ x - y) ** 2) / x.shape[1]
     if g is not None:
         entries = constraint_entries(g)

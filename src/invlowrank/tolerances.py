@@ -7,10 +7,8 @@ documentation agree on a single set of numbers.
 # representation validation: ||gen**order - I||_F <= REP_VALIDATION * d0
 REP_VALIDATION = 1e-10
 
-# orthogonality / reconstruction / idempotency residuals
+# a generator g is orthogonal when ||g^T g - I||_F <= ORTHOGONALITY (groups.is_unitary)
 ORTHOGONALITY = 1e-10
-RECONSTRUCTION = 1e-10
-IDEMPOTENCY = 1e-10
 
 # singular values <= RANK_CUTOFF_REL * sigma_max * max(rows, cols) are zero
 RANK_CUTOFF_REL = 1e-12
@@ -20,9 +18,6 @@ PD_EIG_REL = 1e-12
 
 # symmetry residual, scaled by max(1, ||M||_F)
 SYMMETRY = 1e-10
-
-# Penrose identity residuals for pseudoinverses
-PENROSE = 1e-8
 
 # singular values i, i+1 are tied when sigma_i - sigma_{i+1} <= SPECTRAL_GAP_REL * sigma_max
 # (linalg.SvdFactors.tied): a tie at r-1 makes the rank-r truncation non-unique

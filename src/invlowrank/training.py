@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import linalg
 from . import tolerances as tol
 from .activations import get_activation
 from .errors import (
@@ -154,6 +155,7 @@ def mse_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray,
 
 def cross_entropy_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                             lam: float = 0.0, g=None) -> float:
+    w, x, y = linalg.check_chain(w, x, y)
     logits = w @ x
     shifted = logits - logits.max(axis=0, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=0))
@@ -173,9 +175,7 @@ def gradient(params: LinearNetParams, x: np.ndarray, y: np.ndarray,
     """
     if loss not in LOSSES:
         raise InvalidArgument(f"unknown loss {loss!r}")
-    w_end = end_to_end(params)
-    if w_end.shape[1] != x.shape[0] or w_end.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]:
-        raise ShapeMismatch(f"net {w_end.shape} incompatible with X {x.shape}, Y {y.shape}")
+    w_end, x, y = linalg.check_chain(end_to_end(params), x, y)
     n = x.shape[1]
     if loss == "mse":
         dw = (2.0 / n) * (w_end @ x - y) @ x.T
@@ -250,6 +250,8 @@ def hardwired_forward(params: LinearNetParams, basis: np.ndarray,
         raise ShapeMismatch(
             f"first layer expects {params.weights[0].shape[1]} inputs, basis has {basis.shape[0]} rows"
         )
+    if basis.ndim != 2 or basis.shape[1:] != np.shape(x)[:1]:
+        raise ShapeMismatch(f"basis {basis.shape} does not act on X {np.shape(x)}")
     return end_to_end(params) @ (basis @ x)
 
 
@@ -361,4 +363,5 @@ def epsilon_inv(predict: Callable[[np.ndarray], float], x: np.ndarray,
 def epsilon_inv_median(predict: Callable[[np.ndarray], float], xs: np.ndarray,
                        rep: GroupRep) -> float:
     """Median of epsilon_inv over the columns of xs."""
+    xs = linalg.as_matrix(xs)
     return float(np.median([epsilon_inv(predict, xs[:, i], rep) for i in range(xs.shape[1])]))

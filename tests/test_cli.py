@@ -456,3 +456,23 @@ def test_identity_group_train_hardwired(tmp_path, capsys):
     code, out, err = run_cli(["train", "--config", conf, "--out", str(tmp_path)], capsys)
     assert code == 0, err
     assert read_matrix(tmp_path / "Wfinal.mat").shape == (2, 2)
+
+
+@pytest.mark.parametrize("mode", ["hardwired", "regularized"])
+def test_train_cross_entropy_sample_mismatch_exit_1(tmp_path, capsys, mode):
+    rng = np.random.default_rng(0)
+    write_matrix(tmp_path / "X.mat", rng.standard_normal((4, 20)))
+    write_matrix(tmp_path / "Y.mat", np.eye(2)[:, rng.integers(0, 2, 19)])
+    conf = write_config(tmp_path / "exp.conf", group="c4_image:2", mode=mode, loss="cross_entropy",
+                        hidden=2, epochs=2, seed=0, **{"lambda": 0.1})
+    code, _, err = run_cli(["train", "--config", conf, "--out", str(tmp_path)], capsys)
+    assert_config_error(code, err, "sample axis")
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_compare_tolerance_out_of_range_exit_1(tmp_path, capsys, value):
+    write_matrix(tmp_path / "a.mat", np.eye(2))
+    write_matrix(tmp_path / "b.mat", 2 * np.eye(2))
+    code, _, err = run_cli(["compare", str(tmp_path / "a.mat"), str(tmp_path / "b.mat"),
+                            "--tol", value], capsys)
+    assert_config_error(code, err, "--tol")

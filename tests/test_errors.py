@@ -78,6 +78,25 @@ SHAPE_CALLS = {
         np.ones(2), np.ones((2, 3)), np.ones((1, 3))),
     "linalg.svd_1d": lambda: linalg.svd(np.ones(3)),
     "linalg.best_rank_r_1d": lambda: linalg.best_rank_r(np.ones(3), 1),
+    "training.cross_entropy_objective_columns": lambda: training.cross_entropy_objective(
+        np.ones((2, 3)), np.ones((4, 5)), np.ones((2, 5))),
+    "training.cross_entropy_objective_targets": lambda: training.cross_entropy_objective(
+        np.ones((2, 4)), np.ones((4, 5)), np.ones((3, 5))),
+    "solvers.augmented_risk_columns": lambda: solvers.augmented_risk(
+        np.ones((2, 3)), np.ones((4, 5)), np.ones((2, 5)), embedded_cycle_rep(4, 2)),
+    "solvers.augmented_risk_outputs": lambda: solvers.augmented_risk(
+        np.ones((2, 4)), np.ones((4, 5)), np.ones((3, 5)), embedded_cycle_rep(4, 2)),
+    "training.hardwired_forward_basis_columns": lambda: training.hardwired_forward(
+        training.init_params((3, 2), seed=0), np.ones((3, 5)), np.ones((4, 6))),
+    "training.epsilon_inv_median_1d": lambda: training.epsilon_inv_median(
+        lambda v: 1.0, np.ones(4), embedded_cycle_rep(4, 2)),
+    "linalg.singular_values_1d": lambda: linalg.singular_values(np.ones(3)),
+    "linalg.numerical_rank_1d": lambda: linalg.numerical_rank(np.ones(3)),
+    "ntk.width_sample_scales": lambda: ntk.WidthSampleSet(
+        weights=np.ones((2, 3)), out_scales=np.ones(3), seed=0),
+    "ntk.relu_limiting_ntk_dims": lambda: ntk.relu_limiting_ntk(np.ones(3), np.ones(4)),
+    "ntk.empirical_ntk_terms_dims": lambda: ntk.empirical_ntk_terms(
+        ntk.sample_width_set(4, 8, seed=0), "relu", np.ones(3), np.ones(3)),
 }
 
 

@@ -122,6 +122,27 @@ def test_regularized_large_lambda_approaches_constrained():
         assert abs(scaled[lam] - scaled[1e4]) <= 0.1 * scaled[1e4]
 
 
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0, 1e4])
+@pytest.mark.parametrize("seed, d0, dl, order, r", [
+    (40, 6, 3, 3, 1), (41, 8, 5, 4, 2), (42, 7, 4, 2, 2), (43, 9, 6, 5, 3),
+])
+def test_regularized_is_rank_r_regression_on_the_penalized_gram(seed, d0, dl, order, r, lam):
+    # independent form: W = best_rank_r(Y X^T S^-1/2, r) S^-1/2 with S = X X^T + n lambda G G^T
+    prob = with_lambda(random_problem(seed=seed, d0=d0, dl=dl, order=order, r=r), lam)
+    g = prob.constraint.entries
+    s_inv = linalg.pd_inv_sqrt(prob.x @ prob.x.T + prob.n * lam * g @ g.T)
+    target = prob.y @ prob.x.T @ s_inv
+    expected = linalg.best_rank_r(target, r) @ s_inv
+    w = solve_regularized(prob).w
+    assert np.linalg.norm(w - expected) <= 1e-8 * np.linalg.norm(expected)
+    sigma_sq = np.linalg.svd(target, compute_uv=False) ** 2
+    points = enumerate_critical_points(prob, "regularized")
+    assert len(points) == math.comb(dl, r)
+    for point in points:
+        left_out = sigma_sq.sum() - sigma_sq[list(point.index_set)].sum()
+        assert abs(point.loss - left_out) <= 1e-8 * left_out
+
+
 def test_regularized_beats_factored_descent_oracle():
     prob = with_lambda(random_problem(seed=6, d0=6, dl=4, order=3, r=2, n=18), 0.1)
     sol = solve_regularized(prob)
