@@ -37,7 +37,6 @@ from .ntk import (
 )
 from .solvers import (
     RegressionProblem,
-    empirical_risk,
     enumerate_critical_points,
     regularization_path,
     solve_augmented,
@@ -153,19 +152,10 @@ def solve_cmd(cfg: ExperimentConfig, out: Path):
 def path_cmd(cfg: ExperimentConfig, out: Path):
     """Sweep the lambda grid and write path.csv."""
     grid = cfg.require("lambda_grid")
-    problem = _load_problem(cfg, out)
-    samples = regularization_path(problem, grid)
-    g = problem.constraint
-    rows = []
-    for sample in samples:
-        loss = empirical_risk(sample.w, problem.x, problem.y, g=g, lam=sample.lam)
-        residual = float(np.linalg.norm(sample.w @ g.entries))
-        rows.append(",".join([
-            format_float(sample.lam),
-            format_float(loss),
-            format_float(residual),
-            format_float(sample.distance_to_inv),
-        ]))
+    samples = regularization_path(_load_problem(cfg, out), grid)
+    rows = [",".join(format_float(v) for v in (s.lam, s.loss, s.invariance_residual,
+                                                s.distance_to_inv))
+            for s in samples]
     _write_csv(out / "path.csv", "lambda,loss,invariance_residual,distance_to_inv", rows)
     click.echo(f"path points={len(samples)} "
                f"final_distance_to_inv={format_float(samples[-1].distance_to_inv)}")

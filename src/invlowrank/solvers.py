@@ -17,11 +17,13 @@ P = (X X^T)^(1/2), Z = Y X^T P^-1 and G~ = P^-1 G:
 * data augmentation (risk averaged over the group orbit of X):
   Zbar = |G| Y X^T Gbar^T Q^-1, R = Q^-1, Q = (sum_g rho(g) X X^T rho(g)^T)^(1/2).
 
-The regularization path whitens and factors G~ G~^T once, then takes one
-diagonal scaling and one SVD per lambda. The critical points of each
-problem on the rank-r variety select every size-r index set of Zbar's
-singular triples instead of the top r. The module also computes the
-invariant/non-invariant decomposition of an arbitrary W.
+A RegressionProblem factors its data once: construction whitens X X^T, and
+G~ G~^T is factored on first use, so every solver call on one problem
+shares both. A regularization path sample is the regularized solution at
+its lambda, at the cost of one diagonal scaling and one SVD. The critical
+points of each problem on the rank-r variety select every size-r index set
+of Zbar's singular triples instead of the top r. The module also computes
+the invariant/non-invariant decomposition of an arbitrary W.
 """
 
 from __future__ import annotations
@@ -58,10 +60,13 @@ FLAG_NON_FILLING = "NonFilling"
 class RegressionProblem:
     """Data (X, Y), a constraint (matrix G or group rep), a rank bound, and lambda.
 
-    X X^T must be positive definite (full-row-rank data). Construction
-    derives the constraint from the rep when only a rep is given, and
-    attaches classification flags: Filling / NonFilling for the rank bound
-    against min(d0, dL), and RankConstraintVacuous when r >= nullity(G).
+    X and Y must be finite and X X^T positive definite (full-row-rank data).
+    The problem owns everything computed from its data, each at most once:
+    construction whitens X X^T, which is the positive-definite check, derives
+    the constraint from the rep when only a rep is given, and attaches
+    classification flags: Filling / NonFilling for the rank bound against
+    min(d0, dL), and RankConstraintVacuous when r >= nullity(G). X and Y are
+    not copied and must not change after construction.
     """
 
     x: np.ndarray
@@ -77,16 +82,17 @@ class RegressionProblem:
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
             raise ShapeMismatch(f"X {x.shape} and Y {y.shape} must share a sample axis")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise InvalidArgument("X and Y entries must be finite")
         if self.r < 0:
             raise InvalidArgument(f"rank bound must be >= 0, got {self.r}")
-        if self.lam < 0:
-            raise InvalidArgument(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InvalidArgument(f"lambda must be a finite real >= 0, got {self.lam}")
         if self.constraint is None and self.rep is None:
             raise InvalidArgument("need a ConstraintMatrix or a GroupRep")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if not linalg.is_positive_definite(np.linalg.eigvalsh(x @ x.T)):
-            raise SingularData("X X^T is not positive definite; supply full-row-rank data")
+        self._whitened  # raises SingularData unless X X^T is positive definite
         constraint = self.constraint
         if constraint is None:
             constraint = invariance_constraint(self.rep)
@@ -111,6 +117,43 @@ class RegressionProblem:
     @property
     def n(self) -> int:
         return self.x.shape[1]
+
+    @cached_property
+    def _whitened(self) -> tuple[np.ndarray, np.ndarray]:
+        """P^-1 and Z = Y X^T P^-1."""
+        p_inv = _pd_inv_sqrt(self.x @ self.x.T)
+        return p_inv, self.y @ self.x.T @ p_inv
+
+    @cached_property
+    def _penalty_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, Z V, V^T P^-1) with G~ G~^T = V diag(mu) V^T; the nullity(G) smallest mu are 0."""
+        p_inv, z = self._whitened
+        g_t = p_inv @ self.constraint.entries
+        mu, v = np.linalg.eigh(g_t @ g_t.T)
+        mu[:self.constraint.nullity] = 0.0
+        return mu, z @ v, v.T @ p_inv
+
+    def _target(self, mode: str, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """The whitened target Zbar and right factor R of ``mode`` at penalty ``lam``."""
+        if mode == "augmented":
+            if self.rep is None:
+                raise InvalidArgument("augmented mode needs a GroupRep on the problem")
+            xxt = self.x @ self.x.T
+            q_inv = _pd_inv_sqrt(sum(g @ xxt @ g.T for g in elements(self.rep)))
+            return self.rep.order * self.y @ self.x.T @ group_average(self.rep).T @ q_inv, q_inv
+        p_inv, z = self._whitened
+        if mode == "constrained":
+            # col(G~) = P^-1 col(G) = P^-1 U_m, where U_m holds G's m = rank(G) leading left
+            # singular vectors, so G's one SVD decides the subspace. pinv cannot drop any of
+            # the m columns: U_m is orthonormal, so cond(P^-1 U_m) <= cond(P) <= 1e6 by the
+            # PD check on X X^T, far inside the rank cutoff (about 2e-10 relative at d0 = 196).
+            u_m = self.constraint.factors.u[:, :self.constraint.dim - self.constraint.nullity]
+            return z @ linalg.left_null_projector(p_inv @ u_m), p_inv
+        if mode == "regularized":
+            mu, zv, vt_p_inv = self._penalty_eigenbasis
+            d = 1.0 / np.sqrt(1.0 + self.n * lam * mu)
+            return zv * d, d[:, None] * vt_p_inv
+        raise InvalidArgument(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -140,64 +183,11 @@ class CriticalPoint:
 
 
 @dataclass(frozen=True)
-class PathSample:
-    """One point of the regularization path."""
+class PathSample(RankBoundedSolution):
+    """The regularized solution at ``lam`` and its distance to the hard-constrained optimum."""
 
     lam: float
-    w: np.ndarray
     distance_to_inv: float
-    warnings: tuple[str, ...]
-
-
-class _Targets:
-    """The whitened target Zbar and right factor R of each mode, for one problem.
-
-    The whitening and the penalty eigenbasis run at most once per instance,
-    so the points of a regularization path share them.
-    """
-
-    def __init__(self, problem: RegressionProblem):
-        self.problem = problem
-
-    @cached_property
-    def _whitened(self) -> tuple[np.ndarray, np.ndarray]:
-        """P^-1 and Z = Y X^T P^-1."""
-        problem = self.problem
-        p_inv = _pd_inv_sqrt(problem.x @ problem.x.T)
-        return p_inv, problem.y @ problem.x.T @ p_inv
-
-    @cached_property
-    def _penalty_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu, Z V, V^T P^-1) with G~ G~^T = V diag(mu) V^T; the nullity(G) smallest mu are 0."""
-        p_inv, z = self._whitened
-        g_t = p_inv @ self.problem.constraint.entries
-        mu, v = np.linalg.eigh(g_t @ g_t.T)
-        mu[:self.problem.constraint.nullity] = 0.0
-        return mu, z @ v, v.T @ p_inv
-
-    def __call__(self, mode: str, lam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        problem = self.problem
-        if mode == "augmented":
-            if problem.rep is None:
-                raise InvalidArgument("augmented mode needs a GroupRep on the problem")
-            rep = problem.rep
-            xxt = problem.x @ problem.x.T
-            q_inv = _pd_inv_sqrt(sum(g @ xxt @ g.T for g in elements(rep)))
-            return rep.order * problem.y @ problem.x.T @ group_average(rep).T @ q_inv, q_inv
-        p_inv, z = self._whitened
-        if mode == "constrained":
-            # col(G~) = P^-1 col(G) = P^-1 U_m, where U_m holds G's m = rank(G) leading left
-            # singular vectors, so G's one SVD decides the subspace. pinv cannot drop any of
-            # the m columns: U_m is orthonormal, so cond(P^-1 U_m) <= cond(P) <= 1e6 by the
-            # PD check on X X^T, far inside the rank cutoff (about 2e-10 relative at d0 = 196).
-            constraint = problem.constraint
-            u_m = constraint.factors.u[:, :constraint.dim - constraint.nullity]
-            return z @ linalg.left_null_projector(p_inv @ u_m), p_inv
-        if mode == "regularized":
-            mu, zv, vt_p_inv = self._penalty_eigenbasis
-            d = 1.0 / np.sqrt(1.0 + problem.n * lam * mu)
-            return zv * d, d[:, None] * vt_p_inv
-        raise InvalidArgument(f"unknown mode {mode!r}")
 
 
 def _pd_inv_sqrt(m: np.ndarray) -> np.ndarray:
@@ -207,23 +197,30 @@ def _pd_inv_sqrt(m: np.ndarray) -> np.ndarray:
         raise SingularData(str(exc)) from exc
 
 
-def _rank_r(problem: RegressionProblem, zbar: np.ndarray, right: np.ndarray
-            ) -> tuple[np.ndarray, list[str]]:
-    """W = (best rank-r part of Zbar) R, and the warnings."""
+def _objective(problem: RegressionProblem, mode: str, lam: float, w: np.ndarray) -> float:
+    """The objective ``mode`` minimizes at W: the orbit-averaged risk, or risk + lam ||W G||^2."""
+    if mode == "augmented":
+        return augmented_risk(w, problem.x, problem.y, problem.rep)
+    return empirical_risk(w, problem.x, problem.y, g=problem.constraint, lam=lam)
+
+
+def _solve(problem: RegressionProblem, mode: str, lam: float) -> RankBoundedSolution:
+    """W = (best rank-r part of Zbar) R for ``mode`` at penalty ``lam``, and its diagnostics.
+
+    A tie at r-1 flags NonUniqueOptimum only when sigma_{r-1} is nonzero: a
+    target of rank below r is its own unique best rank-r approximation.
+    """
+    zbar, right = problem._target(mode, lam)
     f, r = linalg.svd(zbar), problem.r
     warnings = [WARN_RANK_VACUOUS] if WARN_RANK_VACUOUS in problem.flags else []
     if f.rank <= r:
         warnings.append(WARN_RANK_ASSUMPTION)
-    if 0 < r < f.sigma.size and f.tied(r - 1):
+    if 0 < r <= f.rank and r < f.sigma.size and f.tied(r - 1):
         warnings.append(WARN_NON_UNIQUE)
-    return f.select(slice(0, r)) @ right, warnings
-
-
-def _solve(problem: RegressionProblem, mode: str, loss) -> RankBoundedSolution:
-    w, warnings = _rank_r(problem, *_Targets(problem)(mode, problem.lam))
+    w = f.select(slice(0, r)) @ right
     return RankBoundedSolution(
         w=w,
-        loss=float(loss(w)),
+        loss=_objective(problem, mode, lam, w),
         rank=linalg.numerical_rank(w),
         invariance_residual=float(np.linalg.norm(w @ problem.constraint.entries)),
         warnings=tuple(warnings),
@@ -232,7 +229,7 @@ def _solve(problem: RegressionProblem, mode: str, loss) -> RankBoundedSolution:
 
 def solve_constrained(problem: RegressionProblem) -> RankBoundedSolution:
     """Global optimum of the hard-constrained problem (W G = 0, rank <= r)."""
-    return _solve(problem, "constrained", lambda w: empirical_risk(w, problem.x, problem.y))
+    return _solve(problem, "constrained", 0.0)
 
 
 def solve_regularized(problem: RegressionProblem) -> RankBoundedSolution:
@@ -241,8 +238,7 @@ def solve_regularized(problem: RegressionProblem) -> RankBoundedSolution:
     The reported loss is the penalized objective. At lambda = 0 this is the
     plain reduced-rank regression solution.
     """
-    return _solve(problem, "regularized", lambda w: empirical_risk(
-        w, problem.x, problem.y, g=problem.constraint, lam=problem.lam))
+    return _solve(problem, "regularized", problem.lam)
 
 
 def augmented_risk(w: np.ndarray, x: np.ndarray, y: np.ndarray, rep: GroupRep) -> float:
@@ -260,31 +256,31 @@ def solve_augmented(problem: RegressionProblem) -> RankBoundedSolution:
     For unitary representations the result is an invariant map and equals
     the hard-constrained optimum.
     """
-    return _solve(problem, "augmented",
-                  lambda w: augmented_risk(w, problem.x, problem.y, problem.rep))
+    return _solve(problem, "augmented", 0.0)
 
 
 def regularization_path(problem: RegressionProblem, lambdas) -> list[PathSample]:
     """Penalized optima along an increasing grid of positive lambdas.
 
-    Each sample records the Frobenius distance to the hard-constrained
-    optimum; the path converges to it as lambda grows. Each sample carries
-    its optimum's solver warnings: NonUniqueOptimum marks a tied truncation.
+    Each sample is ``solve_regularized`` at its lambda, with the same loss,
+    invariance residual and solver warnings (NonUniqueOptimum marks a tied
+    truncation), plus its Frobenius distance to the hard-constrained optimum;
+    the path converges to it as lambda grows. The problem's own lambda is
+    ignored.
     """
     lams = [float(v) for v in lambdas]
     if not lams:
         raise InvalidGrid("lambda grid is empty")
-    if any(v <= 0 for v in lams):
-        raise InvalidGrid("lambda grid must contain positive values only")
+    if not all(math.isfinite(v) and v > 0 for v in lams):
+        raise InvalidGrid("lambda grid entries must be finite reals > 0")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise InvalidGrid("lambda grid must be strictly increasing")
-    targets = _Targets(problem)
-    w_inv, _ = _rank_r(problem, *targets("constrained"))
+    w_inv = _solve(problem, "constrained", 0.0).w
     samples = []
     for lam in lams:
-        w, warnings = _rank_r(problem, *targets("regularized", lam))
-        samples.append(PathSample(lam=lam, w=w, distance_to_inv=float(np.linalg.norm(w - w_inv)),
-                                  warnings=tuple(warnings)))
+        solution = _solve(problem, "regularized", lam)
+        samples.append(PathSample(**vars(solution), lam=lam,
+                                  distance_to_inv=float(np.linalg.norm(solution.w - w_inv))))
     return samples
 
 
@@ -297,7 +293,7 @@ def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[Cri
     global minimum. Requires pairwise-distinct nonzero singular values;
     otherwise the critical set is not finite.
     """
-    zbar, right = _Targets(problem)(mode, problem.lam)
+    zbar, right = problem._target(mode, problem.lam)
     f = linalg.svd(zbar)
     k, r = f.rank, problem.r
     if r > k:

@@ -15,6 +15,7 @@ metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -70,17 +71,21 @@ class TrainConfig:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.loss not in LOSSES:
             raise InvalidConfig(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if self.learning_rate <= 0:
-            raise InvalidConfig("learning_rate must be positive")
+        _check_positive("learning_rate", self.learning_rate)
+        _check_positive("adam_eps", self.adam_eps)
         b1, b2 = self.adam_betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise InvalidConfig("adam betas must lie in [0, 1)")
         if self.epochs < 1:
             raise InvalidConfig("epochs must be >= 1")
-        if self.init_scale <= 0:
-            raise InvalidConfig("init_scale must be positive")
-        if self.lam < 0:
-            raise InvalidConfig("lambda must be nonnegative")
+        _check_positive("init_scale", self.init_scale)
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InvalidConfig(f"lambda must be a finite real >= 0, got {self.lam}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidConfig(f"{name} must be a finite real > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,7 @@ class NonlinearNetParams:
 
 def init_params(dims: Sequence[int], seed: int, init_scale: float = 1.0) -> LinearNetParams:
     """Seeded Gaussian init, std init_scale / sqrt(fan_in) per layer."""
-    if init_scale <= 0:
-        raise InvalidConfig("init_scale must be positive")
+    _check_positive("init_scale", init_scale)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise InvalidConfig(f"dims must be >= 2 positive integers, got {dims}")
     rng = np.random.default_rng(seed)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from invlowrank import activations, groups, linalg, ntk, solvers, training
-from invlowrank.errors import ConfigError, HarnessError, InvalidArgument, ShapeMismatch
+from invlowrank.errors import (ConfigError, HarnessError, InvalidArgument, InvalidConfig,
+                               InvalidGrid, ShapeMismatch)
 
 from helpers import embedded_cycle_rep
 
@@ -54,6 +55,48 @@ def test_bad_argument_raises_typed_error(call):
     assert isinstance(excinfo.value, InvalidArgument)
     assert isinstance(excinfo.value, ConfigError)
     assert isinstance(excinfo.value, ValueError)
+
+
+def _data_with(which: str, bad: float):
+    x = np.random.default_rng(0).standard_normal((4, 12))
+    data = {"x": x, "y": x[:2].copy()}
+    data[which][1, 2] = bad
+    return solvers.RegressionProblem(**data, r=1, rep=embedded_cycle_rep(4, 2))
+
+
+def _path_on_grid(grid):
+    return solvers.regularization_path(_problem(rep=embedded_cycle_rep(4, 2)), grid)
+
+
+def _train_config(**kwargs):
+    return training.TrainConfig(mode="regularized", epochs=1, seed=0, **kwargs)
+
+
+NON_FINITE_CALLS = {
+    "solvers.x_nan": (InvalidArgument, lambda: _data_with("x", np.nan)),
+    "solvers.x_inf": (InvalidArgument, lambda: _data_with("x", np.inf)),
+    "solvers.y_nan": (InvalidArgument, lambda: _data_with("y", np.nan)),
+    "solvers.lambda_nan": (InvalidArgument, lambda: _problem(lam=np.nan,
+                                                              rep=embedded_cycle_rep(4, 2))),
+    "solvers.lambda_inf": (InvalidArgument, lambda: _problem(lam=np.inf,
+                                                              rep=embedded_cycle_rep(4, 2))),
+    "solvers.grid_nan": (InvalidGrid, lambda: _path_on_grid([1.0, np.nan])),
+    "solvers.grid_inf": (InvalidGrid, lambda: _path_on_grid([1.0, np.inf])),
+    "training.learning_rate_nan": (InvalidConfig, lambda: _train_config(learning_rate=np.nan)),
+    "training.lam_nan": (InvalidConfig, lambda: _train_config(lam=np.nan)),
+    "training.init_scale_nan": (InvalidConfig, lambda: _train_config(init_scale=np.nan)),
+    "training.adam_eps_nan": (InvalidConfig, lambda: _train_config(adam_eps=np.nan)),
+    "training.adam_eps_negative": (InvalidConfig, lambda: _train_config(adam_eps=-1.0)),
+    "training.init_params_nan": (InvalidConfig, lambda: training.init_params(
+        (2, 1), seed=0, init_scale=np.nan)),
+}
+
+
+@pytest.mark.parametrize("error, call", list(NON_FINITE_CALLS.values()), ids=list(NON_FINITE_CALLS))
+def test_non_finite_input_is_rejected_where_it_enters(error, call):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert isinstance(excinfo.value, ConfigError)
 
 
 def _hardwired_with_basis(basis):

@@ -451,6 +451,47 @@ def test_rank_warnings():
     assert "NonUniqueOptimum" in solve_constrained(tied).warnings
 
 
+def _tied_problem() -> RegressionProblem:
+    return RegressionProblem(x=np.eye(3), y=np.diag([3.0, 3.0, 1.0]), r=1, rep=trivial_rep(3))
+
+
+def test_target_of_rank_below_r_is_a_unique_optimum():
+    # sigma_{r-1} = sigma_r = 0 is no tie: the target is its own best rank-r approximation
+    rng = np.random.default_rng(29)
+    nullity_one = RegressionProblem(x=rng.standard_normal((6, 18)),
+                                    y=rng.standard_normal((3, 18)), r=2,
+                                    rep=groups.cyclic_permutation(6))
+    assert nullity_one.constraint.nullity == 1
+    assert "NonUniqueOptimum" not in solve_constrained(nullity_one).warnings
+    zero_target = RegressionProblem(x=rng.standard_normal((4, 12)),
+                                    y=np.zeros((3, 12)), r=1, rep=trivial_rep(4))
+    assert "NonUniqueOptimum" not in solve_regularized(zero_target).warnings
+
+
+def test_problem_whitens_its_data_once(monkeypatch):
+    base = random_problem(seed=30, d0=8, dl=5, order=4, r=2)
+    calls = []
+    pd_inv_sqrt = linalg.pd_inv_sqrt
+    monkeypatch.setattr(linalg, "pd_inv_sqrt", lambda m: calls.append(m) or pd_inv_sqrt(m))
+    prob = RegressionProblem(x=base.x, y=base.y, r=base.r, rep=base.rep, lam=0.5)
+    solve_constrained(prob)
+    solve_regularized(prob)
+    enumerate_critical_points(prob, "constrained")
+    enumerate_critical_points(prob, "regularized")
+    regularization_path(prob, [0.1, 1.0, 10.0])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("prob", [random_problem(seed=s, d0=8, dl=5, order=4, r=2)
+                                  for s in (31, 32, 33)] + [_tied_problem()])
+def test_path_samples_are_regularized_solutions(prob):
+    for sample in regularization_path(prob, [1e-2, 1.0, 1e2, 1e6]):
+        solution = solve_regularized(with_lambda(prob, sample.lam))
+        assert np.all(sample.w == solution.w)
+        assert sample.loss == solution.loss
+        assert sample.invariance_residual == solution.invariance_residual
+        assert sample.warnings == solution.warnings
+
 def _split_verdict_problem(g_small: float, x_small: float) -> RegressionProblem:
     # G = diag(1, g_small) and X = diag(1, x_small): whitening rescales G's small
     # singular value to g_small / x_small, across the rank cutoff
