@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import (NoConvergence, NotPositiveDefinite, NotSymmetric, RankOutOfRange,
-                     ShapeMismatch)
+from .errors import (InvalidArgument, NoConvergence, NotPositiveDefinite, NotSymmetric,
+                     RankOutOfRange, ShapeMismatch)
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,19 @@ def check_chain(w, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             or w.shape[1] != x.shape[0] or w.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]):
         raise ShapeMismatch(f"W {w.shape}, X {x.shape}, Y {y.shape} do not chain")
     return w, x, y
+
+
+def check_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Data X, Y as float64 matrices with a shared sample axis and finite entries.
+
+    Raises ShapeMismatch for the shapes and InvalidArgument for a non-finite entry.
+    """
+    x, y = (np.asarray(a, dtype=float) for a in (x, y))
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ShapeMismatch(f"X {x.shape} and Y {y.shape} must share a sample axis")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InvalidArgument("X and Y entries must be finite")
+    return x, y
 
 
 def svd(m: np.ndarray) -> SvdFactors:

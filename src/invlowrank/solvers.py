@@ -28,9 +28,10 @@ the invariant/non-invariant decomposition of an arbitrary W.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -78,16 +79,10 @@ class RegressionProblem:
     flags: tuple[str, ...] = field(init=False, default=())
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-            raise ShapeMismatch(f"X {x.shape} and Y {y.shape} must share a sample axis")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise InvalidArgument("X and Y entries must be finite")
+        x, y = linalg.check_samples(self.x, self.y)
         if self.r < 0:
             raise InvalidArgument(f"rank bound must be >= 0, got {self.r}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise InvalidArgument(f"lambda must be a finite real >= 0, got {self.lam}")
+        _check_lambda(self.lam)
         if self.constraint is None and self.rep is None:
             raise InvalidArgument("need a ConstraintMatrix or a GroupRep")
         object.__setattr__(self, "x", x)
@@ -188,6 +183,11 @@ class PathSample(RankBoundedSolution):
 
     lam: float
     distance_to_inv: float
+
+
+def _check_lambda(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0):
+        raise InvalidArgument(f"lambda must be a finite real >= 0, got {lam}")
 
 
 def _pd_inv_sqrt(m: np.ndarray) -> np.ndarray:
@@ -359,5 +359,12 @@ def invariance_decomposition(w: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, 
 
 
 def with_lambda(problem: RegressionProblem, lam: float) -> RegressionProblem:
-    """A copy of the problem with a different penalty strength."""
-    return replace(problem, lam=lam)
+    """A copy of the problem with a different penalty strength.
+
+    The copy shares the problem's whitening and penalty eigenbasis, which do
+    not depend on lambda, so a lambda sweep factors the data once.
+    """
+    _check_lambda(lam)
+    other = copy.copy(problem)
+    object.__setattr__(other, "lam", lam)
+    return other

@@ -1,12 +1,16 @@
 """Gradient-based training of deep linear networks under three invariance modes.
 
 A linear net x -> W_L ... W_1 x is trained full-batch with Adam in one of
-three modes: ``augmented`` (the dataset is replaced by its group orbit),
-``hardwired`` (inputs pass through an invariant basis B first, so the
-end-to-end map W B is invariant for every parameter value), or
-``regularized`` (the objective carries a lambda ||W G||_F^2 penalty). Every
-epoch logs the objective, the non-invariant component ||W_perp||_F, the
-invariance ratio, and argmax accuracy.
+three modes: ``augmented`` (the risk is averaged over the group orbit of
+the data), ``hardwired`` (inputs pass through an invariant basis B first, so
+the end-to-end map W B is invariant for every parameter value), or
+``regularized`` (the objective carries a lambda ||W G||_F^2 penalty). For
+MSE, each mode's data (the n|G| orbit columns, B X, or X) is folded once,
+before the first epoch, into the triangular QR factor of [X^T Y^T]: at most
+d0 + dL columns with the same objective and gradient, so an epoch costs the
+same whatever n and |G| are. Every epoch logs the objective, the
+non-invariant component ||W_perp||_F, the invariance ratio, and argmax
+accuracy on the raw data.
 
 Small two-layer nonlinear networks (scalar-scaled, bias-free) are provided
 for the kernel experiments, together with the orbit-variance invariance
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -246,6 +250,30 @@ def augment_dataset(x: np.ndarray, y: np.ndarray,
     return x_aug, y_aug
 
 
+def mse_surrogate(blocks: Iterable[tuple[np.ndarray, np.ndarray]]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Data (X~, Y~) of at most d0 + dL columns with the MSE geometry of the stacked blocks.
+
+    The blocks (X_i, Y_i) stand for X = [X_1 X_2 ...] and Y = [Y_1 Y_2 ...],
+    n columns in all; they are folded one at a time, so X is never formed.
+    R = [R_x R_y], the triangular QR factor of the n x (d0 + dL) matrix
+    [X^T Y^T], satisfies ||W X - Y||_F^2 = ||R_x W^T - R_y||_F^2 for every W.
+    With k rows in R and s = sqrt(k / n), X~ = s R_x^T and Y~ = s R_y^T make
+    ``mse_objective`` and ``gradient`` return the same (1/n)||W X - Y||_F^2
+    and (2/n)(W X X^T - Y X^T) as X and Y. No Gram matrix is formed, so no
+    condition number is squared, and X may be rank-deficient or have fewer
+    than d0 + dL columns.
+    """
+    r, n = None, 0
+    for x, y in blocks:
+        stacked = np.vstack([x, y]).T
+        r = np.linalg.qr(stacked if r is None else np.vstack([r, stacked]), mode="r")
+        n += x.shape[1]
+    scale = math.sqrt(r.shape[0] / n)
+    d0 = x.shape[0]
+    return scale * r[:, :d0].T, scale * r[:, d0:].T
+
+
 def hardwired_forward(params: LinearNetParams, basis: np.ndarray,
                       x: np.ndarray) -> np.ndarray:
     """Apply the invariant basis, then the linear net: W_L ... W_1 B x."""
@@ -269,37 +297,46 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     """Full-batch Adam training in the configured mode.
 
     The invariance constraint G is ``constraint``, or is built from ``rep``.
-    augmented needs ``rep`` (the dataset is expanded to its orbit),
+    augmented needs ``rep`` (it trains on the group orbit of the data),
     hardwired trains on ``basis`` @ x (rows spanning the invariant subspace,
     by default ``invariant_basis(G)``), and regularized penalizes
-    ``config.lam`` ||W G||_F^2. Metrics are computed each epoch on the
-    end-to-end map (composed with the basis in hardwired mode), against G.
+    ``config.lam`` ||W G||_F^2. MSE training runs on ``mse_surrogate`` of the
+    mode's data, folded once before the first epoch; cross-entropy runs on the
+    data itself. Metrics are computed each epoch on the end-to-end map
+    (composed with the basis in hardwired mode), against G; accuracy is taken
+    on the n raw columns.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = linalg.check_samples(x, y)
+    if x.shape[1] == 0:
+        raise InvalidArgument("training needs at least one sample")
     if constraint is None:
         if rep is None:
             raise InvalidConfig("need a constraint or a rep for the invariance metrics")
         constraint = invariance_constraint(rep)
-    x_train, y_train, lam, g = x, y, 0.0, None
+    lam, g = 0.0, None
     if config.mode == "augmented":
         if rep is None:
             raise InvalidConfig("augmented mode needs a group representation")
-        x_train, y_train = augment_dataset(x, y, rep)
+        check_acts_on(rep, x)
+        blocks = ((mat @ x, y) for mat in elements(rep))
     elif config.mode == "hardwired":
         basis = invariant_basis(constraint) if basis is None else np.asarray(basis, dtype=float)
         if basis.ndim != 2 or basis.shape[1] != x.shape[0]:
             raise ShapeMismatch(f"basis {basis.shape} does not act on d0 = {x.shape[0]} inputs")
-        x_train = basis @ x
+        blocks = [(basis @ x, y)]
     else:
         lam, g = config.lam, constraint
+        blocks = [(x, y)]
+    if config.loss == "mse":
+        x_train, y_train = mse_surrogate(blocks)
+    else:
+        x_train, y_train = (np.hstack(parts) for parts in zip(*blocks))
+        _check_one_hot(y_train)
 
     dims = (x_train.shape[0], *hidden_dims, y.shape[0])
     params = init_params(dims, config.seed, config.init_scale)
     state = AdamState.zeros_like(params)
     objective_fn = mse_objective if config.loss == "mse" else cross_entropy_objective
-    if config.loss == "cross_entropy":
-        _check_one_hot(y_train)
 
     initial = objective_fn(end_to_end(params), x_train, y_train, lam, g)
     records = []

@@ -25,10 +25,17 @@ def _constraint_only_problem():
     return _problem(constraint=groups.invariance_constraint(embedded_cycle_rep(4, 2)))
 
 
+def _train(x, y, mode="augmented"):
+    return training.train(training.TrainConfig(mode=mode, epochs=1, seed=0), (2,), x, y,
+                          rep=embedded_cycle_rep(4, 2))
+
+
 BAD_CALLS = {
     "solvers.rank_bound": lambda: _problem(r=-1, rep=embedded_cycle_rep(4, 2)),
     "solvers.lambda": lambda: _problem(lam=-1.0, rep=embedded_cycle_rep(4, 2)),
     "solvers.no_constraint": lambda: _problem(),
+    "solvers.with_lambda_negative": lambda: solvers.with_lambda(
+        _problem(rep=embedded_cycle_rep(4, 2)), -1.0),
     "solvers.augmented_without_rep": lambda: solvers.solve_augmented(_constraint_only_problem()),
     "solvers.unknown_mode": lambda: solvers.enumerate_critical_points(
         _constraint_only_problem(), "bogus"),
@@ -42,6 +49,7 @@ BAD_CALLS = {
     "groups.elements_multi_generator": lambda: groups.elements(_two_generators()),
     "training.unknown_loss": lambda: training.gradient(
         training.init_params((2, 1), seed=0), np.ones((2, 3)), np.ones((1, 3)), loss="bogus"),
+    "training.train_no_samples": lambda: _train(np.ones((4, 0)), np.ones((2, 0))),
     "activations.unknown": lambda: activations.get_activation("bogus"),
     "ntk.non_finite_samples": lambda: ntk.WidthSampleSet(
         weights=np.full((2, 3), np.nan), out_scales=np.ones(2), seed=0),
@@ -57,11 +65,15 @@ def test_bad_argument_raises_typed_error(call):
     assert isinstance(excinfo.value, ValueError)
 
 
-def _data_with(which: str, bad: float):
+def _bad_data(which: str, bad: float) -> dict:
     x = np.random.default_rng(0).standard_normal((4, 12))
     data = {"x": x, "y": x[:2].copy()}
     data[which][1, 2] = bad
-    return solvers.RegressionProblem(**data, r=1, rep=embedded_cycle_rep(4, 2))
+    return data
+
+
+def _data_with(which: str, bad: float):
+    return solvers.RegressionProblem(**_bad_data(which, bad), r=1, rep=embedded_cycle_rep(4, 2))
 
 
 def _path_on_grid(grid):
@@ -80,6 +92,8 @@ NON_FINITE_CALLS = {
                                                               rep=embedded_cycle_rep(4, 2))),
     "solvers.lambda_inf": (InvalidArgument, lambda: _problem(lam=np.inf,
                                                               rep=embedded_cycle_rep(4, 2))),
+    "solvers.with_lambda_nan": (InvalidArgument, lambda: solvers.with_lambda(
+        _problem(rep=embedded_cycle_rep(4, 2)), np.nan)),
     "solvers.grid_nan": (InvalidGrid, lambda: _path_on_grid([1.0, np.nan])),
     "solvers.grid_inf": (InvalidGrid, lambda: _path_on_grid([1.0, np.inf])),
     "training.learning_rate_nan": (InvalidConfig, lambda: _train_config(learning_rate=np.nan)),
@@ -89,6 +103,12 @@ NON_FINITE_CALLS = {
     "training.adam_eps_negative": (InvalidConfig, lambda: _train_config(adam_eps=-1.0)),
     "training.init_params_nan": (InvalidConfig, lambda: training.init_params(
         (2, 1), seed=0, init_scale=np.nan)),
+    "training.train_x_nan": (InvalidArgument, lambda: _train(**_bad_data("x", np.nan))),
+    "training.train_x_inf": (InvalidArgument, lambda: _train(**_bad_data("x", np.inf),
+                                                             mode="hardwired")),
+    "training.train_y_nan": (InvalidArgument, lambda: _train(**_bad_data("y", np.nan),
+                                                             mode="regularized")),
+    "training.train_y_inf": (InvalidArgument, lambda: _train(**_bad_data("y", -np.inf))),
 }
 
 
@@ -135,6 +155,11 @@ SHAPE_CALLS = {
         lambda v: 1.0, np.ones(4), embedded_cycle_rep(4, 2)),
     "linalg.singular_values_1d": lambda: linalg.singular_values(np.ones(3)),
     "linalg.numerical_rank_1d": lambda: linalg.numerical_rank(np.ones(3)),
+    **{f"training.train_samples_{mode}": (
+        lambda mode=mode: _train(np.ones((4, 5)), np.ones((2, 6)), mode))
+       for mode in training.MODES},
+    "training.train_1d_y": lambda: _train(np.ones((4, 5)), np.ones(5)),
+    "training.train_rows": lambda: _train(np.ones((3, 5)), np.ones((2, 5))),
     "ntk.width_sample_scales": lambda: ntk.WidthSampleSet(
         weights=np.ones((2, 3)), out_scales=np.ones(3), seed=0),
     "ntk.relu_limiting_ntk_dims": lambda: ntk.relu_limiting_ntk(np.ones(3), np.ones(4)),

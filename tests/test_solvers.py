@@ -482,6 +482,19 @@ def test_problem_whitens_its_data_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_lambda_sweep_whitens_once(monkeypatch):
+    base = random_problem(seed=34, d0=8, dl=5, order=4, r=2)
+    calls = []
+    pd_inv_sqrt = linalg.pd_inv_sqrt
+    monkeypatch.setattr(linalg, "pd_inv_sqrt", lambda m: calls.append(m) or pd_inv_sqrt(m))
+    prob = RegressionProblem(x=base.x, y=base.y, r=base.r, rep=base.rep)
+    sweep = [solve_regularized(with_lambda(prob, lam)) for lam in (1e-2, 0.1, 1.0, 10.0, 1e2)]
+    assert len(calls) == 1
+    assert prob.lam == 0.0
+    fresh = RegressionProblem(x=base.x, y=base.y, r=base.r, rep=base.rep, lam=10.0)
+    assert np.all(sweep[3].w == solve_regularized(fresh).w)
+
+
 @pytest.mark.parametrize("prob", [random_problem(seed=s, d0=8, dl=5, order=4, r=2)
                                   for s in (31, 32, 33)] + [_tied_problem()])
 def test_path_samples_are_regularized_solutions(prob):

@@ -25,6 +25,7 @@ from invlowrank.training import (
     hardwired_forward,
     init_params,
     mse_objective,
+    mse_surrogate,
     nonlinear_forward,
     nonlinear_gradient,
     train,
@@ -191,6 +192,53 @@ def test_augment_dataset_invariant_columns_repeat():
         assert np.array_equal(xa[:, 2 * k:2 * k + 2], x)
 
 
+def _assert_surrogate_exact(blocks, x, y, w_points=()):
+    """mse_objective and gradient agree on the surrogate and on the raw data."""
+    xs, ys = mse_surrogate(blocks)
+    assert xs.shape[1] <= x.shape[0] + y.shape[0]
+    rng = np.random.default_rng(0)
+    scale = float(np.linalg.norm(y) ** 2) / x.shape[1]
+    for w in [rng.standard_normal((y.shape[0], x.shape[0])), *w_points]:
+        assert abs(mse_objective(w, xs, ys) - mse_objective(w, x, y)) <= 1e-12 * scale
+    params = init_params((x.shape[0], 3, y.shape[0]), seed=1)
+    for a, b in zip(gradient(params, xs, ys), gradient(params, x, y)):
+        assert rel_err(a, b) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 9, 400], ids=["n<d0+dL", "n=d0+dL", "n>>d0+dL"])
+def test_mse_surrogate_matches_raw_data(n):
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal((6, n)), rng.standard_normal((3, n))
+    _assert_surrogate_exact([(x, y)], x, y)
+
+
+def test_mse_surrogate_rank_deficient_x():
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 30))
+    y = rng.standard_normal((3, 30))
+    assert np.linalg.matrix_rank(x) == 2
+    _assert_surrogate_exact([(x, y)], x, y)
+
+
+def test_mse_surrogate_exact_fit_has_zero_residual_block():
+    rng = np.random.default_rng(21)
+    x, w_true = rng.standard_normal((6, 40)), rng.standard_normal((3, 6))
+    y = w_true @ x
+    xs, ys = mse_surrogate([(x, y)])
+    # R's rows below d0 hold the least-squares residual, which is 0 for an exact fit
+    assert np.linalg.norm(ys[:, 6:]) <= 1e-13 * np.linalg.norm(ys)
+    assert mse_objective(w_true, xs, ys) <= 1e-26 * float(np.linalg.norm(y) ** 2)
+    _assert_surrogate_exact([(x, y)], x, y, w_points=[w_true])
+
+
+def test_mse_surrogate_folds_the_orbit_element_by_element():
+    rep = groups.c4_image_rotation(3)
+    rng = np.random.default_rng(22)
+    x, y = rng.standard_normal((9, 25)), rng.standard_normal((2, 25))
+    x_aug, y_aug = augment_dataset(x, y, rep)
+    _assert_surrogate_exact([(g @ x, y) for g in groups.elements(rep)], x_aug, y_aug)
+
+
 def test_hardwired_forward_is_invariant():
     rep = embedded_cycle_rep(6, 3)
     g = groups.invariance_constraint(rep)
@@ -335,6 +383,28 @@ def test_norm_split_identity_every_epoch():
         total = np.linalg.norm(w) ** 2
         parts = np.linalg.norm(w_inv) ** 2 + np.linalg.norm(w_perp) ** 2
         assert abs(total - parts) < 1e-10 * total
+
+
+@pytest.mark.parametrize("mode", ["augmented", "hardwired", "regularized"])
+def test_train_objective_matches_raw_data_loop_every_epoch(mode):
+    # the folded data must reproduce a plain training loop on the mode's raw data
+    x, y, rep = standard_instance()
+    g = groups.invariance_constraint(rep)
+    basis = groups.invariant_basis(g)
+    config = TrainConfig(mode=mode, epochs=30, seed=11, lam=0.01)
+    x_raw, y_raw, lam, g_pen = {
+        "augmented": (*augment_dataset(x, y, rep), 0.0, None),
+        "hardwired": (basis @ x, y, 0.0, None),
+        "regularized": (x, y, config.lam, g),
+    }[mode]
+    log = train(config, (3,), x, y, rep=rep)
+    params = init_params((x_raw.shape[0], 3, 4), config.seed, config.init_scale)
+    state = AdamState.zeros_like(params)
+    for rec in log.records:
+        grads = gradient(params, x_raw, y_raw, loss="mse", lam=lam, g=g_pen)
+        params, state = adam_step(params, state, grads, config)
+        expected = mse_objective(end_to_end(params), x_raw, y_raw, lam, g_pen)
+        assert abs(rec.objective - expected) <= 1e-12 * expected
 
 
 def test_train_divergence_detected():
