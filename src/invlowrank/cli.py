@@ -20,7 +20,7 @@ import numpy as np
 from . import tolerances as tol
 from .config import ExperimentConfig, load_config, resolve_group
 from .datagen import write_dataset
-from .errors import ConfigError, InvalidConfig, NotUnitary, NumericalError, ShapeMismatch
+from .errors import ConfigError, InvalidConfig, NotUnitary, NumericalError
 from .groups import GroupRep, elements, is_unitary
 from .matio import format_float, read_matrix, write_matrix
 from .ntk import (
@@ -99,8 +99,6 @@ def _read_data(cfg: ExperimentConfig, out: Path) -> tuple[np.ndarray, np.ndarray
     y = read_matrix(_resolve_input(cfg, "y_file", out, "Y.mat"))
     if x.shape[0] != rep.dim:
         raise InvalidConfig(f"X has {x.shape[0]} rows but the group acts on R^{rep.dim}")
-    if x.shape[1] != y.shape[1]:
-        raise ShapeMismatch(f"X {x.shape} and Y {y.shape} must share a sample axis")
     return x, y, rep
 
 

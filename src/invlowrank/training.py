@@ -7,10 +7,13 @@ the end-to-end map W B is invariant for every parameter value), or
 ``regularized`` (the objective carries a lambda ||W G||_F^2 penalty). For
 MSE, each mode's data (the n|G| orbit columns, B X, or X) is folded once,
 before the first epoch, into the triangular QR factor of [X^T Y^T]: at most
-d0 + dL columns with the same objective and gradient, so an epoch costs the
-same whatever n and |G| are. Every epoch logs the objective, the
-non-invariant component ||W_perp||_F, the invariance ratio, and argmax
-accuracy on the raw data.
+d0 + dL columns with the same objective and gradient, so the objective and
+gradient cost the same per epoch whatever n and |G| are. The orbit is folded
+from the surrogate of (X, Y) itself, one group element at a time, so each
+element costs a d0 x d0 x k product (k <= d0 + dL) and a QR of at most
+2(d0 + dL) rows. Every epoch logs the objective, the non-invariant component
+||W_perp||_F, the invariance ratio, and argmax accuracy on the n raw
+columns, which is the one per-epoch cost that grows with n.
 
 Small two-layer nonlinear networks (scalar-scaled, bias-free) are provided
 for the kernel experiments, together with the orbit-variance invariance
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -193,16 +197,16 @@ def gradient(params: LinearNetParams, x: np.ndarray, y: np.ndarray,
     if g is not None and lam:
         entries = constraint_entries(g)
         dw = dw + 2.0 * lam * w_end @ entries @ entries.T
+    # below[j] = W_{j-1} ... W_1 and above[j] = W_L ... W_{j+1}; None stands
+    # for the identity at either end of the chain, so no product with I is formed
     weights = params.weights
-    length = len(weights)
-    rights = [np.eye(weights[0].shape[1])]
-    for w in weights[:-1]:
-        rights.append(w @ rights[-1])
-    lefts = [np.eye(weights[-1].shape[0])]
-    for w in reversed(weights[1:]):
-        lefts.append(lefts[-1] @ w)
-    lefts.reverse()
-    return [lefts[j].T @ dw @ rights[j].T for j in range(length)]
+    below = [None, *accumulate(weights[:-1], lambda acc, w: w @ acc)]
+    above = [*accumulate(reversed(weights[1:]), lambda acc, w: acc @ w)][::-1] + [None]
+    grads = []
+    for left, right in zip(above, below):
+        grad = dw if left is None else left.T @ dw
+        grads.append(grad if right is None else grad @ right.T)
+    return grads
 
 
 @dataclass
@@ -287,10 +291,6 @@ def hardwired_forward(params: LinearNetParams, basis: np.ndarray,
     return end_to_end(params) @ (basis @ x)
 
 
-def _accuracy(pred: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(np.argmax(pred, axis=0) == np.argmax(y, axis=0)))
-
-
 def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.ndarray,
           rep: GroupRep | None = None, constraint: ConstraintMatrix | None = None,
           basis: np.ndarray | None = None) -> TrainLog:
@@ -304,7 +304,7 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     mode's data, folded once before the first epoch; cross-entropy runs on the
     data itself. Metrics are computed each epoch on the end-to-end map
     (composed with the basis in hardwired mode), against G; accuracy is taken
-    on the n raw columns.
+    on the n raw columns, through B X, formed once, in hardwired mode.
     """
     x, y = linalg.check_samples(x, y)
     if x.shape[1] == 0:
@@ -314,16 +314,21 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
             raise InvalidConfig("need a constraint or a rep for the invariance metrics")
         constraint = invariance_constraint(rep)
     lam, g = 0.0, None
+    x_metric = x  # the net's input on the n raw columns, for accuracy (B X in hardwired mode)
     if config.mode == "augmented":
         if rep is None:
             raise InvalidConfig("augmented mode needs a group representation")
         check_acts_on(rep, x)
-        blocks = ((mat @ x, y) for mat in elements(rep))
+        # [X^T rho^T Y^T] = [X^T Y^T] diag(rho^T, I), so the orbit folds from the
+        # data's own R factor: each element multiplies k <= d0 + dL columns, not n
+        x0, y0 = mse_surrogate([(x, y)]) if config.loss == "mse" else (x, y)
+        blocks = ((mat @ x0, y0) for mat in elements(rep))
     elif config.mode == "hardwired":
         basis = invariant_basis(constraint) if basis is None else np.asarray(basis, dtype=float)
         if basis.ndim != 2 or basis.shape[1] != x.shape[0]:
             raise ShapeMismatch(f"basis {basis.shape} does not act on d0 = {x.shape[0]} inputs")
-        blocks = [(basis @ x, y)]
+        x_metric = basis @ x
+        blocks = [(x_metric, y)]
     else:
         lam, g = config.lam, constraint
         blocks = [(x, y)]
@@ -339,6 +344,7 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     objective_fn = mse_objective if config.loss == "mse" else cross_entropy_objective
 
     initial = objective_fn(end_to_end(params), x_train, y_train, lam, g)
+    labels = np.argmax(y, axis=0)
     records = []
     for epoch in range(config.epochs):
         grads = gradient(params, x_train, y_train, loss=config.loss, lam=lam, g=g)
@@ -357,7 +363,7 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
                 objective=float(objective),
                 w_perp_frob=float(np.linalg.norm(w_perp)),
                 invariance_ratio=float(ratio),
-                accuracy=_accuracy(w_full @ x, y),
+                accuracy=float(np.mean(np.argmax(w @ x_metric, axis=0) == labels)),
             )
         )
     return TrainLog(records=tuple(records), final_w=w_full)

@@ -51,16 +51,30 @@ def test_read_rejects_malformed(tmp_path):
         "count.mat": "3 2\n1 2\n3 4\n",
         "width.mat": "2 2\n1 2 3\n4 5\n",
         "alpha.mat": "1 2\n1 x\n",
+        "header_only.mat": "1 2\n",
+        # Python's float() accepts digit separators; the writer never emits them
+        "underscore.mat": "1 1\n1_0\n",
+        "comment.mat": "1 1\n#\n",
+        "nan.mat": "1 1\nnan\n",
+        "overflow.mat": "1 1\n1e999\n",
+        "extra_row.mat": "1 2\n1 2\n3 4\n",
     }
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
-        with pytest.raises(MatrixFormatError):
+        with pytest.raises(MatrixFormatError, match=name):
             read_matrix(path)
 
 
 def test_read_rejects_non_utf8(tmp_path):
-    path = tmp_path / "bad.mat"
-    path.write_bytes(b"\xff\xfe1 1\n1\n")
-    with pytest.raises(MatrixFormatError, match="bad.mat"):
-        read_matrix(path)
+    for where, data in [("header", b"\xff\xfe1 1\n1\n"), ("body", b"2 1\n1\n\xff\n")]:
+        path = tmp_path / f"bad_{where}.mat"
+        path.write_bytes(data)
+        with pytest.raises(MatrixFormatError, match=f"bad_{where}.mat: not a UTF-8"):
+            read_matrix(path)
+
+
+def test_read_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.mat"
+    path.write_text("\n2 2\n1 2\n\n   \n3 4\n\n")
+    assert np.array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])

@@ -31,7 +31,7 @@ from invlowrank.training import (
     train,
 )
 
-from helpers import embedded_cycle_rep, one_hot, standard_instance, trivial_rep
+from helpers import embedded_cycle_rep, one_hot, skewed_cycle_rep, standard_instance, trivial_rep
 from oracles import finite_difference
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -83,11 +83,13 @@ def test_gradient_zero_at_filling_global_optimum():
     assert all(np.linalg.norm(g) < 1e-8 for g in grads)
 
 
-def test_gradient_matches_finite_differences_mse():
+@pytest.mark.parametrize("dims", [(5, 3), (5, 4, 3), (5, 4, 4, 3)],
+                         ids=["depth1", "depth2", "depth3"])
+def test_gradient_matches_finite_differences_mse(dims):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 12))
     y = rng.standard_normal((3, 12))
-    params = init_params((5, 4, 3), seed=3)
+    params = init_params(dims, seed=3)
     analytic = gradient(params, x, y, loss="mse")
     fd = finite_difference(lambda ws: mse_objective(end_to_end(LinearNetParams(list(ws))), x, y),
                            params.weights)
@@ -239,6 +241,18 @@ def test_mse_surrogate_folds_the_orbit_element_by_element():
     _assert_surrogate_exact([(g @ x, y) for g in groups.elements(rep)], x_aug, y_aug)
 
 
+@pytest.mark.parametrize("n", [5, 40], ids=["n<d0+dL", "n>d0+dL"])
+def test_mse_surrogate_folds_the_orbit_from_the_data_factor(n):
+    # [X^T rho^T Y^T] = [X^T Y^T] diag(rho^T, I): the orbit folds from the data's
+    # own surrogate, here under a non-orthogonal rep
+    rep = skewed_cycle_rep(6, 3, seed=4)
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal((6, n)), rng.standard_normal((3, n))
+    x0, y0 = mse_surrogate([(x, y)])
+    x_aug, y_aug = augment_dataset(x, y, rep)
+    _assert_surrogate_exact([(g @ x0, y0) for g in groups.elements(rep)], x_aug, y_aug)
+
+
 def test_hardwired_forward_is_invariant():
     rep = embedded_cycle_rep(6, 3)
     g = groups.invariance_constraint(rep)
@@ -388,6 +402,7 @@ def test_norm_split_identity_every_epoch():
 @pytest.mark.parametrize("mode", ["augmented", "hardwired", "regularized"])
 def test_train_objective_matches_raw_data_loop_every_epoch(mode):
     # the folded data must reproduce a plain training loop on the mode's raw data
+    from invlowrank.solvers import invariance_decomposition
     x, y, rep = standard_instance()
     g = groups.invariance_constraint(rep)
     basis = groups.invariant_basis(g)
@@ -405,6 +420,11 @@ def test_train_objective_matches_raw_data_loop_every_epoch(mode):
         params, state = adam_step(params, state, grads, config)
         expected = mse_objective(end_to_end(params), x_raw, y_raw, lam, g_pen)
         assert abs(rec.objective - expected) <= 1e-12 * expected
+        w_full = end_to_end(params) @ basis if mode == "hardwired" else end_to_end(params)
+        w_perp = np.linalg.norm(invariance_decomposition(w_full, g)[1])
+        # hardwired W_perp is rounding noise, so it is measured against ||W||
+        assert abs(rec.w_perp_frob - w_perp) <= 1e-12 * max(w_perp, np.linalg.norm(w_full))
+        assert rec.accuracy == np.mean(np.argmax(w_full @ x, axis=0) == np.argmax(y, axis=0))
 
 
 def test_train_divergence_detected():
