@@ -326,6 +326,8 @@ def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[Cri
 def empirical_risk(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                    g=None, lam: float = 0.0) -> float:
     """(1/n)||W X - Y||_F^2, plus lambda ||W G||_F^2 when a constraint is given."""
+    if lam and g is None:
+        raise InvalidArgument(f"lambda = {lam} needs a constraint G to penalize")
     w, x, y = linalg.check_chain(w, x, y)
     risk = float(np.linalg.norm(w @ x - y) ** 2) / x.shape[1]
     if g is not None:

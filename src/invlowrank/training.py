@@ -5,15 +5,19 @@ three modes: ``augmented`` (the risk is averaged over the group orbit of
 the data), ``hardwired`` (inputs pass through an invariant basis B first, so
 the end-to-end map W B is invariant for every parameter value), or
 ``regularized`` (the objective carries a lambda ||W G||_F^2 penalty). For
-MSE, each mode's data (the n|G| orbit columns, B X, or X) is folded once,
-before the first epoch, into the triangular QR factor of [X^T Y^T]: at most
-d0 + dL columns with the same objective and gradient, so the objective and
-gradient cost the same per epoch whatever n and |G| are. The orbit is folded
-from the surrogate of (X, Y) itself, one group element at a time, so each
-element costs a d0 x d0 x k product (k <= d0 + dL) and a QR of at most
-2(d0 + dL) rows. Every epoch logs the objective, the non-invariant component
-||W_perp||_F, the invariance ratio, and argmax accuracy on the n raw
-columns, which is the one per-epoch cost that grows with n.
+MSE, each mode's data (the n|G| orbit columns, B X, or X with the penalty
+as one more block (sqrt(n lambda) G, 0)) is folded once, before the first
+epoch, into the triangular QR factor of [X^T Y^T]: at most d0 + dL columns
+with the same objective and gradient, so the objective and gradient cost the
+same per epoch whatever n and |G| are, and no epoch multiplies by G. The
+orbit is folded from the surrogate of (X, Y) itself, one group element at a
+time, so each element costs a d0 x d0 x k product (k <= d0 + dL) and a QR of
+at most 2(d0 + dL) rows. Every epoch logs the objective, the non-invariant
+component ||W_perp||_F, the invariance ratio, and argmax accuracy on the n
+raw columns. The objective is taken each epoch; the other metrics are taken
+for a block of epochs at a time, from one product of the stacked end-to-end
+maps with the projector and one with the n raw columns, so per epoch the
+optimizer step is the only work left besides the objective.
 
 Small two-layer nonlinear networks (scalar-scaled, bias-free) are provided
 for the kernel experiments, together with the orbit-variance invariance
@@ -159,6 +163,11 @@ def _softmax_columns(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
+def _check_penalty(lam: float, g) -> None:
+    if lam and g is None:
+        raise InvalidArgument(f"lambda = {lam} needs a constraint G to penalize")
+
+
 def mse_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                   lam: float = 0.0, g=None) -> float:
     """(1/n)||W X - Y||_F^2, plus lambda ||W G||_F^2 when lambda is nonzero."""
@@ -167,12 +176,13 @@ def mse_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray,
 
 def cross_entropy_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                             lam: float = 0.0, g=None) -> float:
+    _check_penalty(lam, g)
     w, x, y = linalg.check_chain(w, x, y)
     logits = w @ x
     shifted = logits - logits.max(axis=0, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=0))
     value = float(np.mean(log_z - np.sum(shifted * y, axis=0)))
-    if g is not None and lam:
+    if lam:
         value += lam * float(np.linalg.norm(w @ constraint_entries(g)) ** 2)
     return value
 
@@ -187,6 +197,7 @@ def gradient(params: LinearNetParams, x: np.ndarray, y: np.ndarray,
     """
     if loss not in LOSSES:
         raise InvalidArgument(f"unknown loss {loss!r}")
+    _check_penalty(lam, g)
     w_end, x, y = linalg.check_chain(end_to_end(params), x, y)
     n = x.shape[1]
     if loss == "mse":
@@ -194,7 +205,7 @@ def gradient(params: LinearNetParams, x: np.ndarray, y: np.ndarray,
     else:
         _check_one_hot(y)
         dw = (_softmax_columns(w_end @ x) - y) @ x.T / n
-    if g is not None and lam:
+    if lam:
         entries = constraint_entries(g)
         dw = dw + 2.0 * lam * w_end @ entries @ entries.T
     # below[j] = W_{j-1} ... W_1 and above[j] = W_L ... W_{j+1}; None stands
@@ -254,12 +265,15 @@ def augment_dataset(x: np.ndarray, y: np.ndarray,
     return x_aug, y_aug
 
 
-def mse_surrogate(blocks: Iterable[tuple[np.ndarray, np.ndarray]]
+def mse_surrogate(blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Data (X~, Y~) of at most d0 + dL columns with the MSE geometry of the stacked blocks.
 
-    The blocks (X_i, Y_i) stand for X = [X_1 X_2 ...] and Y = [Y_1 Y_2 ...],
-    n columns in all; they are folded one at a time, so X is never formed.
+    The blocks (X_i, Y_i) stand for X = [X_1 X_2 ...] and Y = [Y_1 Y_2 ...];
+    they are folded one at a time, so X is never formed. n, the sample count
+    the objective divides by, defaults to the blocks' column count; a penalty
+    lambda ||W G||_F^2 = (1/n)||W sqrt(n lambda) G - 0||_F^2 over n samples is
+    one more block (sqrt(n lambda) G, 0) whose columns n does not count.
     R = [R_x R_y], the triangular QR factor of the n x (d0 + dL) matrix
     [X^T Y^T], satisfies ||W X - Y||_F^2 = ||R_x W^T - R_y||_F^2 for every W.
     With k rows in R and s = sqrt(k / n), X~ = s R_x^T and Y~ = s R_y^T make
@@ -268,13 +282,23 @@ def mse_surrogate(blocks: Iterable[tuple[np.ndarray, np.ndarray]]
     condition number is squared, and X may be rank-deficient or have fewer
     than d0 + dL columns.
     """
-    r, n = None, 0
+    r, columns = None, 0
     for x, y in blocks:
+        x, y = linalg.check_samples(x, y)
+        if r is None:
+            d0, dl = x.shape[0], y.shape[0]
+        elif (x.shape[0], y.shape[0]) != (d0, dl):
+            raise ShapeMismatch(f"block X {x.shape}, Y {y.shape} do not have the first block's "
+                                f"{d0} and {dl} rows")
         stacked = np.vstack([x, y]).T
         r = np.linalg.qr(stacked if r is None else np.vstack([r, stacked]), mode="r")
-        n += x.shape[1]
+        columns += x.shape[1]
+    if r is None:
+        raise InvalidArgument("mse_surrogate needs at least one block")
+    n = columns if n is None else n
+    if n < 1:
+        raise InvalidArgument(f"the sample count must be >= 1, got {n}")
     scale = math.sqrt(r.shape[0] / n)
-    d0 = x.shape[0]
     return scale * r[:, :d0].T, scale * r[:, d0:].T
 
 
@@ -291,6 +315,44 @@ def hardwired_forward(params: LinearNetParams, basis: np.ndarray,
     return end_to_end(params) @ (basis @ x)
 
 
+# epochs whose metrics share one invariance_decomposition call and one product with
+# the n raw columns
+_METRIC_BLOCK = 8
+
+
+def _block_records(first_epoch: int, objectives: Sequence[float], maps: Sequence[np.ndarray],
+                   basis: np.ndarray | None, constraint: ConstraintMatrix,
+                   x_metric: np.ndarray, labels: np.ndarray) -> list[EpochRecord]:
+    """The records of consecutive epochs, from their end-to-end maps stacked by rows.
+
+    Each epoch's norms come from its own rows of the stacked products and its
+    argmax from its own slice of the logits, so they are the metrics of that
+    epoch's map alone.
+    """
+    rows = maps[0].shape[0]
+    w = np.vstack(maps)
+    w_full = w if basis is None else w @ basis
+    w_inv, w_perp, _ = invariance_decomposition(w_full, constraint)
+    # samples x epochs x outputs: argmax over the last, contiguous axis reads the logits in place
+    logits = (x_metric.T @ w.T).reshape(x_metric.shape[1], len(maps), rows)
+    accuracy = np.mean(np.argmax(logits, axis=2) == labels[:, None], axis=0)
+    records = []
+    for i, objective in enumerate(objectives):
+        epoch_rows = slice(i * rows, (i + 1) * rows)
+        total = float(np.linalg.norm(w_full[epoch_rows]) ** 2)
+        ratio = 1.0 if total == 0.0 else float(np.linalg.norm(w_inv[epoch_rows]) ** 2) / total
+        records.append(
+            EpochRecord(
+                epoch=first_epoch + i,
+                objective=objective,
+                w_perp_frob=float(np.linalg.norm(w_perp[epoch_rows])),
+                invariance_ratio=ratio,
+                accuracy=float(accuracy[i]),
+            )
+        )
+    return records
+
+
 def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.ndarray,
           rep: GroupRep | None = None, constraint: ConstraintMatrix | None = None,
           basis: np.ndarray | None = None) -> TrainLog:
@@ -301,10 +363,15 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     hardwired trains on ``basis`` @ x (rows spanning the invariant subspace,
     by default ``invariant_basis(G)``), and regularized penalizes
     ``config.lam`` ||W G||_F^2. MSE training runs on ``mse_surrogate`` of the
-    mode's data, folded once before the first epoch; cross-entropy runs on the
-    data itself. Metrics are computed each epoch on the end-to-end map
-    (composed with the basis in hardwired mode), against G; accuracy is taken
-    on the n raw columns, through B X, formed once, in hardwired mode.
+    mode's data, folded once before the first epoch, with the regularized
+    penalty folded in as the block (sqrt(n lambda) G, 0); cross-entropy runs on
+    the data itself and adds the penalty each epoch. The objective is checked
+    for divergence each epoch. The other metrics are computed on the
+    end-to-end map (composed with the basis in hardwired mode), against G,
+    for 8 epochs at a time from their stacked maps; accuracy is taken on
+    the n raw columns, through B X, formed once, in hardwired mode. The
+    records are those of a per-epoch computation, up to rounding in the
+    w_perp_frob and invariance_ratio columns.
     """
     x, y = linalg.check_samples(x, y)
     if x.shape[1] == 0:
@@ -313,6 +380,8 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
         if rep is None:
             raise InvalidConfig("need a constraint or a rep for the invariance metrics")
         constraint = invariance_constraint(rep)
+    if config.mode != "hardwired":
+        basis = None  # only hardwired mode composes the net's map with a basis
     lam, g = 0.0, None
     x_metric = x  # the net's input on the n raw columns, for accuracy (B X in hardwired mode)
     if config.mode == "augmented":
@@ -333,7 +402,16 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
         lam, g = config.lam, constraint
         blocks = [(x, y)]
     if config.loss == "mse":
-        x_train, y_train = mse_surrogate(blocks)
+        samples = None
+        if lam:
+            # lam ||W G||^2 = (1/n)||W sqrt(n lam) G - 0||^2, so the penalty is one more
+            # block over the n data samples and no epoch multiplies by G
+            samples = x.shape[1]
+            entries = constraint_entries(g)
+            blocks.append((math.sqrt(samples * lam) * entries,
+                           np.zeros((y.shape[0], entries.shape[1]))))
+        x_train, y_train = mse_surrogate(blocks, samples)
+        lam, g = 0.0, None
     else:
         x_train, y_train = (np.hstack(parts) for parts in zip(*blocks))
         _check_one_hot(y_train)
@@ -345,7 +423,10 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
 
     initial = objective_fn(end_to_end(params), x_train, y_train, lam, g)
     labels = np.argmax(y, axis=0)
-    records = []
+    # G's projector is per-run work: factored here, its SVD workspace is freed before the
+    # loop allocates its metric blocks instead of stacking on them (a lower peak RSS)
+    constraint.null_projector
+    records, objectives, maps = [], [], []
     for epoch in range(config.epochs):
         grads = gradient(params, x_train, y_train, loss=config.loss, lam=lam, g=g)
         params, state = adam_step(params, state, grads, config)
@@ -355,18 +436,13 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
             raise DivergenceDetected(
                 f"objective {objective:.3e} exceeded {tol.DIVERGENCE_FACTOR:.0e} x initial at epoch {epoch}"
             )
-        w_full = w @ basis if config.mode == "hardwired" else w
-        _, w_perp, ratio = invariance_decomposition(w_full, constraint)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                objective=float(objective),
-                w_perp_frob=float(np.linalg.norm(w_perp)),
-                invariance_ratio=float(ratio),
-                accuracy=float(np.mean(np.argmax(w @ x_metric, axis=0) == labels)),
-            )
-        )
-    return TrainLog(records=tuple(records), final_w=w_full)
+        objectives.append(float(objective))
+        maps.append(w)
+        if len(maps) == _METRIC_BLOCK or epoch == config.epochs - 1:
+            records += _block_records(epoch + 1 - len(maps), objectives, maps, basis, constraint,
+                                      x_metric, labels)
+            objectives, maps = [], []
+    return TrainLog(records=tuple(records), final_w=w if basis is None else w @ basis)
 
 
 def nonlinear_forward(params: NonlinearNetParams, x: np.ndarray) -> np.ndarray:

@@ -50,6 +50,19 @@ BAD_CALLS = {
     "training.unknown_loss": lambda: training.gradient(
         training.init_params((2, 1), seed=0), np.ones((2, 3)), np.ones((1, 3)), loss="bogus"),
     "training.train_no_samples": lambda: _train(np.ones((4, 0)), np.ones((2, 0))),
+    "training.mse_surrogate_no_blocks": lambda: training.mse_surrogate([]),
+    "training.mse_surrogate_zero_samples": lambda: training.mse_surrogate(
+        [(np.ones((2, 3)), np.ones((1, 3)))], 0),
+    "training.mse_surrogate_empty_blocks": lambda: training.mse_surrogate(
+        [(np.ones((2, 0)), np.ones((1, 0)))]),
+    "solvers.empirical_risk_lam_without_g": lambda: solvers.empirical_risk(
+        np.ones((1, 2)), np.ones((2, 3)), np.ones((1, 3)), lam=0.5),
+    "training.mse_objective_lam_without_g": lambda: training.mse_objective(
+        np.ones((1, 2)), np.ones((2, 3)), np.ones((1, 3)), lam=0.5),
+    "training.cross_entropy_objective_lam_without_g": lambda: training.cross_entropy_objective(
+        np.ones((2, 2)), np.ones((2, 3)), np.eye(2)[:, [0, 1, 0]], lam=0.5),
+    "training.gradient_lam_without_g": lambda: training.gradient(
+        training.init_params((2, 1), seed=0), np.ones((2, 3)), np.ones((1, 3)), lam=0.5),
     "activations.unknown": lambda: activations.get_activation("bogus"),
     "ntk.non_finite_samples": lambda: ntk.WidthSampleSet(
         weights=np.full((2, 3), np.nan), out_scales=np.ones(2), seed=0),
@@ -159,6 +172,14 @@ SHAPE_CALLS = {
         lambda mode=mode: _train(np.ones((4, 5)), np.ones((2, 6)), mode))
        for mode in training.MODES},
     "training.train_1d_y": lambda: _train(np.ones((4, 5)), np.ones(5)),
+    "training.mse_surrogate_1d_x": lambda: training.mse_surrogate([(np.ones(3), np.ones((1, 3)))]),
+    "training.mse_surrogate_1d_y": lambda: training.mse_surrogate([(np.ones((2, 3)), np.ones(3))]),
+    "training.mse_surrogate_samples": lambda: training.mse_surrogate(
+        [(np.ones((2, 3)), np.ones((1, 4)))]),
+    "training.mse_surrogate_x_rows": lambda: training.mse_surrogate(
+        [(np.ones((2, 3)), np.ones((1, 3))), (np.ones((3, 3)), np.ones((1, 3)))]),
+    "training.mse_surrogate_y_rows": lambda: training.mse_surrogate(
+        [(np.ones((2, 3)), np.ones((1, 3))), (np.ones((2, 3)), np.ones((2, 3)))]),
     "training.train_rows": lambda: _train(np.ones((3, 5)), np.ones((2, 5))),
     "ntk.width_sample_scales": lambda: ntk.WidthSampleSet(
         weights=np.ones((2, 3)), out_scales=np.ones(3), seed=0),

@@ -253,6 +253,28 @@ def test_mse_surrogate_folds_the_orbit_from_the_data_factor(n):
     _assert_surrogate_exact([(g @ x0, y0) for g in groups.elements(rep)], x_aug, y_aug)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.01, 3.0])
+@pytest.mark.parametrize("n", [5, 40], ids=["n<d0+dL", "n>d0+dL"])
+def test_mse_surrogate_folds_the_penalty(n, lam):
+    # lam ||W G||^2 = (1/n)||W sqrt(n lam) G - 0||^2: the penalty is one more block,
+    # over the n data samples, and none is added for lam = 0
+    g = groups.invariance_constraint(skewed_cycle_rep(6, 3, seed=5))
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal((6, n)), rng.standard_normal((3, n))
+    blocks = [(x, y)]
+    if lam:
+        blocks.append((np.sqrt(n * lam) * g.entries, np.zeros((3, g.entries.shape[1]))))
+    xs, ys = mse_surrogate(blocks, n)
+    assert xs.shape[1] <= x.shape[0] + y.shape[0]
+    for seed in range(3):
+        w = rng.standard_normal((3, 6))
+        expected = mse_objective(w, x, y, lam, g)
+        assert abs(mse_objective(w, xs, ys) - expected) <= 1e-12 * expected
+        params = init_params((6, 4, 3), seed=seed)
+        for a, b in zip(gradient(params, xs, ys), gradient(params, x, y, lam=lam, g=g)):
+            assert rel_err(a, b) <= 1e-12
+
+
 def test_hardwired_forward_is_invariant():
     rep = embedded_cycle_rep(6, 3)
     g = groups.invariance_constraint(rep)
@@ -425,6 +447,40 @@ def test_train_objective_matches_raw_data_loop_every_epoch(mode):
         # hardwired W_perp is rounding noise, so it is measured against ||W||
         assert abs(rec.w_perp_frob - w_perp) <= 1e-12 * max(w_perp, np.linalg.norm(w_full))
         assert rec.accuracy == np.mean(np.argmax(w_full @ x, axis=0) == np.argmax(y, axis=0))
+
+
+@pytest.mark.parametrize("epochs", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("mode", ["augmented", "hardwired", "regularized"])
+def test_train_block_metrics_match_a_per_epoch_loop(mode, epochs):
+    # metrics are taken for blocks of epochs at once; every record, including those
+    # of a partial last block, must be the one a per-epoch loop on the raw data logs
+    from invlowrank.solvers import invariance_decomposition
+    x, y, rep = standard_instance()
+    g = groups.invariance_constraint(rep)
+    basis = groups.invariant_basis(g)
+    config = TrainConfig(mode=mode, epochs=epochs, seed=12, lam=0.05)
+    x_raw, y_raw, lam, g_pen = {
+        "augmented": (*augment_dataset(x, y, rep), 0.0, None),
+        "hardwired": (basis @ x, y, 0.0, None),
+        "regularized": (x, y, config.lam, g),
+    }[mode]
+    log = train(config, (3,), x, y, rep=rep)
+    assert [rec.epoch for rec in log.records] == list(range(epochs))
+    params = init_params((x_raw.shape[0], 3, 4), config.seed, config.init_scale)
+    state = AdamState.zeros_like(params)
+    for rec in log.records:
+        grads = gradient(params, x_raw, y_raw, loss="mse", lam=lam, g=g_pen)
+        params, state = adam_step(params, state, grads, config)
+        w = end_to_end(params)
+        expected = mse_objective(w, x_raw, y_raw, lam, g_pen)
+        assert abs(rec.objective - expected) <= 1e-12 * expected
+        w_full = w @ basis if mode == "hardwired" else w
+        _, w_perp, ratio = invariance_decomposition(w_full, g)
+        w_perp = np.linalg.norm(w_perp)
+        assert abs(rec.w_perp_frob - w_perp) <= 1e-12 * max(w_perp, np.linalg.norm(w_full))
+        assert abs(rec.invariance_ratio - ratio) <= 1e-12
+        assert rec.accuracy == np.mean(np.argmax(w_full @ x, axis=0) == np.argmax(y, axis=0))
+    assert rel_err(log.final_w, w_full) <= 1e-12
 
 
 def test_train_divergence_detected():
