@@ -19,43 +19,6 @@ from .errors import InvalidConfig
 from .groups import GroupRep, c4_image_rotation, cyclic_permutation, rep_from_generator, rotation_2d
 from .matio import read_matrix
 
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment configuration; every field optional until required."""
-
-    mode: str | None = None
-    group: str | None = None
-    d0: int | None = None
-    dL: int | None = None
-    hidden: tuple[int, ...] | None = None
-    r: int | None = None
-    lam: float | None = None
-    lambda_grid: tuple[float, ...] | None = None
-    n: int | None = None
-    noise_sigma: float | None = None
-    seed: int | None = None
-    epochs: int | None = None
-    learning_rate: float | None = None
-    loss: str | None = None
-    invariant_wtrue: bool | None = None
-    x_file: str | None = None
-    y_file: str | None = None
-    width: int | None = None
-    trials: int | None = None
-    init_scale: float | None = None
-    base_dir: Path = Path(".")
-
-    def require(self, key: str):
-        value = getattr(self, _attr(key))
-        if value is None:
-            raise InvalidConfig(f"missing required config key: {key}")
-        return value
-
-
-def _attr(key: str) -> str:
-    """The ExperimentConfig field that holds a config key."""
-    return "lam" if key == "lambda" else key
-
 
 @dataclass(frozen=True)
 class _Key:
@@ -109,6 +72,26 @@ KEYS: dict[str, _Key] = {
                         "with 0 < start < stop and count >= 1"),
     "invariant_wtrue": _Key(lambda raw: _BOOLS[raw.lower()], lambda v: True, "true or false"),
 }
+
+
+class ExperimentConfig:
+    """Parsed experiment configuration: one attribute per ``KEYS`` entry, None until set."""
+
+    def __init__(self, base_dir: Path = Path(".")):
+        for key in KEYS:
+            setattr(self, _attr(key), None)
+        self.base_dir = base_dir
+
+    def require(self, key: str):
+        value = getattr(self, _attr(key))
+        if value is None:
+            raise InvalidConfig(f"missing required config key: {key}")
+        return value
+
+
+def _attr(key: str) -> str:
+    """The ExperimentConfig attribute that holds a config key."""
+    return "lam" if key == "lambda" else key
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:

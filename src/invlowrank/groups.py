@@ -91,9 +91,12 @@ class ConstraintMatrix:
         return _freeze((proj + proj.T) / 2.0)
 
 
-def constraint_entries(g: ConstraintMatrix | np.ndarray) -> np.ndarray:
-    """The matrix G of a ConstraintMatrix, or an array-like G as a float array."""
-    return g.entries if isinstance(g, ConstraintMatrix) else np.asarray(g, dtype=float)
+def constraint_entries(g: ConstraintMatrix | np.ndarray, d0: int) -> np.ndarray:
+    """G (a ConstraintMatrix or an array-like) as a float matrix; ShapeMismatch unless d0 x k."""
+    entries = linalg.as_matrix(g.entries if isinstance(g, ConstraintMatrix) else g)
+    if entries.shape[0] != d0:
+        raise ShapeMismatch(f"constraint G {entries.shape} does not have d0 = {d0} rows")
+    return entries
 
 
 def _validate_generator(gen: np.ndarray, order: int) -> np.ndarray:
@@ -113,8 +116,7 @@ def _validate_generator(gen: np.ndarray, order: int) -> np.ndarray:
 
 def rep_from_generator(gen: np.ndarray, order: int) -> GroupRep:
     """Validate a single generator of a cyclic group of the given order."""
-    gen = _validate_generator(gen, order)
-    return GroupRep(generators=(_freeze(gen),), orders=(order,))
+    return rep_from_generators([gen], [order])
 
 
 def rep_from_generators(gens: Sequence[np.ndarray], orders: Sequence[int]) -> GroupRep:

@@ -43,7 +43,6 @@ from .errors import (
     InvalidArgument,
     InvalidGrid,
     NotPositiveDefinite,
-    ShapeMismatch,
     SingularData,
     TooManySubsets,
 )
@@ -92,10 +91,7 @@ class RegressionProblem:
         if constraint is None:
             constraint = invariance_constraint(self.rep)
             object.__setattr__(self, "constraint", constraint)
-        if constraint.dim != x.shape[0]:
-            raise ShapeMismatch(
-                f"constraint dimension {constraint.dim} does not match d0 = {x.shape[0]}"
-            )
+        constraint_entries(constraint, x.shape[0])
         flags = [FLAG_NON_FILLING if self.r < min(self.d0, self.dl) else FLAG_FILLING]
         if self.r >= constraint.nullity:
             flags.append(WARN_RANK_VACUOUS)
@@ -168,13 +164,21 @@ class CriticalPoint:
 
     ``loss`` is the transformed-space value sum_{i not in I} sigma_i^2 of the
     whitened target; ``index_set`` stores 0-based indices into its
-    nonincreasing singular values.
+    nonincreasing singular values. The points of one enumeration share the
+    target's SVD and the mode's right factor; each forms its ``w`` only on
+    first read, so an enumeration holds no dL x d0 matrix per index set.
     """
 
-    w: np.ndarray
     index_set: tuple[int, ...]
     loss: float
     is_global_min: bool
+    factors: linalg.SvdFactors = field(repr=False, compare=False)
+    right: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """The target's singular triples in ``index_set``, times the right factor."""
+        return self.factors.select(list(self.index_set)) @ self.right
 
 
 @dataclass(frozen=True)
@@ -288,9 +292,9 @@ def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[Cri
     """All critical points of the chosen problem on the rank-r variety.
 
     One point per size-r subset of the whitened target's nonzero singular
-    values, mapped back through the mode's right factor, sorted by loss
-    ascending. Exactly one point (the subset of the r largest values) is the
-    global minimum. Requires pairwise-distinct nonzero singular values;
+    values, mapped back through the mode's right factor when its ``w`` is
+    read, sorted by loss ascending. Exactly one point (the subset of the r
+    largest values) is the global minimum. Requires pairwise-distinct nonzero singular values;
     otherwise the critical set is not finite.
     """
     zbar, right = problem._target(mode, problem.lam)
@@ -312,10 +316,11 @@ def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[Cri
     total_sq = float(np.sum(f.sigma[:k] ** 2))
     points = [
         CriticalPoint(
-            w=f.select(list(subset)) @ right,
             index_set=subset,
             loss=total_sq - float(np.sum(f.sigma[list(subset)] ** 2)),
             is_global_min=subset == tuple(range(r)),
+            factors=f,
+            right=right,
         )
         for subset in itertools.combinations(range(k), r)
     ]
@@ -323,17 +328,25 @@ def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[Cri
     return points
 
 
+def penalty_entries(lam: float, g, d0: int) -> np.ndarray | None:
+    """G's checked entries for a lambda ||W G||_F^2 penalty on d0 inputs, or None without a G.
+
+    A nonzero lambda without a G raises InvalidArgument.
+    """
+    if g is None:
+        if lam:
+            raise InvalidArgument(f"lambda = {lam} needs a constraint G to penalize")
+        return None
+    return constraint_entries(g, d0)
+
+
 def empirical_risk(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                    g=None, lam: float = 0.0) -> float:
-    """(1/n)||W X - Y||_F^2, plus lambda ||W G||_F^2 when a constraint is given."""
-    if lam and g is None:
-        raise InvalidArgument(f"lambda = {lam} needs a constraint G to penalize")
+    """(1/n)||W X - Y||_F^2, plus lambda ||W G||_F^2 when lambda is nonzero."""
     w, x, y = linalg.check_chain(w, x, y)
+    entries = penalty_entries(lam, g, w.shape[1])
     risk = float(np.linalg.norm(w @ x - y) ** 2) / x.shape[1]
-    if g is not None:
-        entries = constraint_entries(g)
-        if entries.shape[0] != w.shape[1]:
-            raise ShapeMismatch(f"constraint rows {entries.shape[0]} != d0 {w.shape[1]}")
+    if lam:
         risk += lam * float(np.linalg.norm(w @ entries) ** 2)
     return risk
 
@@ -346,10 +359,8 @@ def invariance_decomposition(w: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, 
     (W_inv, W_perp, ratio) with ratio = ||W_inv||_F^2 / ||W||_F^2 (defined
     as 1 for W = 0).
     """
-    w = np.asarray(w, dtype=float)
-    entries = constraint_entries(g)
-    if w.ndim != 2 or w.shape[1] != entries.shape[0]:
-        raise ShapeMismatch(f"W {w.shape} does not act on the {entries.shape[0]} constraint rows")
+    w = linalg.as_matrix(w)
+    entries = constraint_entries(g, w.shape[1])
     if isinstance(g, ConstraintMatrix):
         w_inv = w @ g.null_projector
     else:

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .groups import (ConstraintMatrix, GroupRep, check_acts_on, constraint_entries, elements,
                      invariance_constraint, invariant_basis)
-from .solvers import empirical_risk, invariance_decomposition
+from .solvers import empirical_risk, invariance_decomposition, penalty_entries
 
 MODES = ("augmented", "hardwired", "regularized")
 LOSSES = ("mse", "cross_entropy")
@@ -163,27 +163,22 @@ def _softmax_columns(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def _check_penalty(lam: float, g) -> None:
-    if lam and g is None:
-        raise InvalidArgument(f"lambda = {lam} needs a constraint G to penalize")
-
-
 def mse_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                   lam: float = 0.0, g=None) -> float:
     """(1/n)||W X - Y||_F^2, plus lambda ||W G||_F^2 when lambda is nonzero."""
-    return empirical_risk(w, x, y, g=g if lam else None, lam=lam)
+    return empirical_risk(w, x, y, g=g, lam=lam)
 
 
 def cross_entropy_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                             lam: float = 0.0, g=None) -> float:
-    _check_penalty(lam, g)
     w, x, y = linalg.check_chain(w, x, y)
+    entries = penalty_entries(lam, g, w.shape[1])
     logits = w @ x
     shifted = logits - logits.max(axis=0, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=0))
     value = float(np.mean(log_z - np.sum(shifted * y, axis=0)))
     if lam:
-        value += lam * float(np.linalg.norm(w @ constraint_entries(g)) ** 2)
+        value += lam * float(np.linalg.norm(w @ entries) ** 2)
     return value
 
 
@@ -197,8 +192,8 @@ def gradient(params: LinearNetParams, x: np.ndarray, y: np.ndarray,
     """
     if loss not in LOSSES:
         raise InvalidArgument(f"unknown loss {loss!r}")
-    _check_penalty(lam, g)
     w_end, x, y = linalg.check_chain(end_to_end(params), x, y)
+    entries = penalty_entries(lam, g, w_end.shape[1])
     n = x.shape[1]
     if loss == "mse":
         dw = (2.0 / n) * (w_end @ x - y) @ x.T
@@ -206,7 +201,6 @@ def gradient(params: LinearNetParams, x: np.ndarray, y: np.ndarray,
         _check_one_hot(y)
         dw = (_softmax_columns(w_end @ x) - y) @ x.T / n
     if lam:
-        entries = constraint_entries(g)
         dw = dw + 2.0 * lam * w_end @ entries @ entries.T
     # below[j] = W_{j-1} ... W_1 and above[j] = W_L ... W_{j+1}; None stands
     # for the identity at either end of the chain, so no product with I is formed
@@ -358,8 +352,9 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
           basis: np.ndarray | None = None) -> TrainLog:
     """Full-batch Adam training in the configured mode.
 
-    The invariance constraint G is ``constraint``, or is built from ``rep``.
-    augmented needs ``rep`` (it trains on the group orbit of the data),
+    The invariance constraint G is ``constraint``, or is built from ``rep``;
+    its d0 rows are checked once (``constraint_entries``), before any fold or
+    epoch. augmented needs ``rep`` (it trains on the group orbit of the data),
     hardwired trains on ``basis`` @ x (rows spanning the invariant subspace,
     by default ``invariant_basis(G)``), and regularized penalizes
     ``config.lam`` ||W G||_F^2. MSE training runs on ``mse_surrogate`` of the
@@ -380,6 +375,7 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
         if rep is None:
             raise InvalidConfig("need a constraint or a rep for the invariance metrics")
         constraint = invariance_constraint(rep)
+    entries = constraint_entries(constraint, x.shape[0])
     if config.mode != "hardwired":
         basis = None  # only hardwired mode composes the net's map with a basis
     lam, g = 0.0, None
@@ -399,7 +395,7 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
         x_metric = basis @ x
         blocks = [(x_metric, y)]
     else:
-        lam, g = config.lam, constraint
+        lam, g = config.lam, entries
         blocks = [(x, y)]
     if config.loss == "mse":
         samples = None
@@ -407,7 +403,6 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
             # lam ||W G||^2 = (1/n)||W sqrt(n lam) G - 0||^2, so the penalty is one more
             # block over the n data samples and no epoch multiplies by G
             samples = x.shape[1]
-            entries = constraint_entries(g)
             blocks.append((math.sqrt(samples * lam) * entries,
                            np.zeros((y.shape[0], entries.shape[1]))))
         x_train, y_train = mse_surrogate(blocks, samples)

@@ -138,6 +138,17 @@ def _hardwired_with_basis(basis):
                           x, x[:2], rep=embedded_cycle_rep(4, 2), basis=basis)
 
 
+def _train_with_constraint_rows(mode, loss, epochs=1):
+    """Train with a genuine constraint on d0 + 1 = 5 inputs for data with d0 = 4."""
+    x = np.random.default_rng(0).standard_normal((4, 8))
+    config = training.TrainConfig(mode=mode, epochs=epochs, seed=0, loss=loss, lam=0.5)
+    return training.train(config, (2,), x, np.eye(2)[:, np.arange(8) % 2],
+                          rep=embedded_cycle_rep(4, 2),
+                          constraint=groups.invariance_constraint(embedded_cycle_rep(5, 2)))
+
+
+ONE_HOT_3 = np.eye(2)[:, [0, 1, 0]]
+
 SHAPE_CALLS = {
     "training.augment_dataset_rows": lambda: training.augment_dataset(
         np.ones((3, 5)), np.ones((2, 5)), embedded_cycle_rep(4, 2)),
@@ -181,6 +192,20 @@ SHAPE_CALLS = {
     "training.mse_surrogate_y_rows": lambda: training.mse_surrogate(
         [(np.ones((2, 3)), np.ones((1, 3))), (np.ones((2, 3)), np.ones((2, 3)))]),
     "training.train_rows": lambda: _train(np.ones((3, 5)), np.ones((2, 5))),
+    "training.gradient_penalty_rows": lambda: training.gradient(
+        training.init_params((2, 1), seed=0), np.ones((2, 3)), np.ones((1, 3)), lam=0.5,
+        g=np.ones((3, 2))),
+    "training.gradient_cross_entropy_penalty_rows": lambda: training.gradient(
+        training.init_params((2, 2), seed=0), np.ones((2, 3)), ONE_HOT_3,
+        loss="cross_entropy", lam=0.5, g=np.ones((3, 2))),
+    "training.cross_entropy_objective_penalty_rows": lambda: training.cross_entropy_objective(
+        np.ones((2, 2)), np.ones((2, 3)), ONE_HOT_3, lam=0.5, g=np.ones((3, 2))),
+    "solvers.problem_constraint_rows": lambda: _problem(
+        constraint=groups.invariance_constraint(embedded_cycle_rep(5, 2))),
+    "solvers.empirical_risk_penalty_rows": lambda: solvers.empirical_risk(
+        np.ones((1, 2)), np.ones((2, 3)), np.ones((1, 3)), g=np.ones((3, 2)), lam=0.5),
+    "training.train_cross_entropy_regularized_constraint_rows": lambda: (
+        _train_with_constraint_rows("regularized", "cross_entropy")),
     "ntk.width_sample_scales": lambda: ntk.WidthSampleSet(
         weights=np.ones((2, 3)), out_scales=np.ones(3), seed=0),
     "ntk.relu_limiting_ntk_dims": lambda: ntk.relu_limiting_ntk(np.ones(3), np.ones(4)),
@@ -193,3 +218,19 @@ SHAPE_CALLS = {
 def test_bad_shape_raises_shape_mismatch(call):
     with pytest.raises(ShapeMismatch):
         call()
+
+
+@pytest.mark.parametrize("loss", training.LOSSES)
+@pytest.mark.parametrize("mode", training.MODES)
+def test_train_rejects_constraint_rows_before_the_first_gradient(monkeypatch, mode, loss):
+    calls = []
+    real_gradient = training.gradient
+
+    def counted_gradient(*args, **kwargs):
+        calls.append(1)
+        return real_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(training, "gradient", counted_gradient)
+    with pytest.raises(ShapeMismatch):
+        _train_with_constraint_rows(mode, loss, epochs=20)
+    assert not calls

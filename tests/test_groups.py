@@ -22,6 +22,12 @@ def rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def test_rep_from_generator_stores_orders_as_ints():
+    rep = groups.rep_from_generator(np.roll(np.eye(4), 1, axis=0), np.int64(4))
+    assert rep.orders == (4,)
+    assert all(type(order) is int for order in rep.orders)
+
+
 def test_rep_from_generator_identity():
     rep = groups.rep_from_generator(np.eye(3), 1)
     assert rep.order == 1 and rep.dim == 3

@@ -1,6 +1,10 @@
 """Closed-form solvers, the regularization path, and critical points."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +378,46 @@ def test_one_tie_rule_for_solver_path_and_enumeration():
     assert not any("SpectralGapSmall" in s.warnings for s in samples)
     with pytest.raises(DegenerateSpectrum):
         enumerate_critical_points(prob, "constrained")
+
+
+# C(16, 7) = 11440 index sets of a 16 x 120 target: a W per index set would hold about 170 MB
+_ENUMERATION_PEAK_CHILD = """
+import resource
+import sys
+import numpy as np
+from invlowrank import groups, solvers
+rng = np.random.default_rng(0)
+x = rng.standard_normal((120, 240))
+y = rng.standard_normal((16, 120)) @ x + 0.5 * rng.standard_normal((16, 240))
+problem = solvers.RegressionProblem(x=x, y=y, r=7, rep=groups.rep_from_generator(np.eye(120), 1))
+solvers.solve_regularized(problem)  # the target and its SVD, outside the measured span
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+points = solvers.enumerate_critical_points(problem, "regularized")
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(len(points), grown // (1024 if sys.platform == "darwin" else 1))  # ru_maxrss in bytes there
+"""
+
+
+def test_critical_point_enumeration_forms_no_map_per_index_set():
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    child = subprocess.run([sys.executable, "-c", _ENUMERATION_PEAK_CHILD], env=env,
+                           capture_output=True, text=True, check=True, timeout=120)
+    count, grown_kib = map(int, child.stdout.split())
+    assert count == math.comb(16, 7)
+    assert grown_kib < 32 * 1024
+
+
+@pytest.mark.parametrize("mode", ["constrained", "regularized", "augmented"])
+def test_critical_point_w_is_the_selected_triples_times_the_right_factor(mode):
+    prob = with_lambda(random_problem(seed=31, d0=6, dl=4, order=3, r=2), 0.3)
+    zbar, right = prob._target(mode, prob.lam)
+    f = linalg.svd(zbar)
+    points = enumerate_critical_points(prob, mode)
+    assert len(points) == math.comb(f.rank, prob.r) > 1
+    for point in points:
+        assert np.array_equal(point.w, f.select(list(point.index_set)) @ right)
 
 
 def test_critical_points_subset_guard():
