@@ -13,6 +13,7 @@ import functools
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 import click
 import numpy as np
@@ -115,11 +116,13 @@ def _load_problem(cfg: ExperimentConfig, out: Path, lam: float = 0.0) -> Regress
     return RegressionProblem(x=x, y=y, r=cfg.require("r"), rep=rep, lam=lam)
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
+def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> None:
+    """The header, then one line per row: float fields by ``format_float``, others by str."""
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(row + "\n")
+            fh.write(",".join(format_float(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 @command("gen-data")
@@ -151,10 +154,8 @@ def path_cmd(cfg: ExperimentConfig, out: Path):
     """Sweep the lambda grid and write path.csv."""
     grid = cfg.require("lambda_grid")
     samples = regularization_path(_load_problem(cfg, out), grid)
-    rows = [",".join(format_float(v) for v in (s.lam, s.loss, s.invariance_residual,
-                                                s.distance_to_inv))
-            for s in samples]
-    _write_csv(out / "path.csv", "lambda,loss,invariance_residual,distance_to_inv", rows)
+    _write_csv(out / "path.csv", "lambda,loss,invariance_residual,distance_to_inv",
+               ((s.lam, s.loss, s.invariance_residual, s.distance_to_inv) for s in samples))
     click.echo(f"path points={len(samples)} "
                f"final_distance_to_inv={format_float(samples[-1].distance_to_inv)}")
 
@@ -164,11 +165,9 @@ def critical_points_cmd(cfg: ExperimentConfig, out: Path):
     """Enumerate every critical point and write critical.csv (loss ascending)."""
     mode, lam = _mode(cfg, SOLVE_MODES)
     points = enumerate_critical_points(_load_problem(cfg, out, lam), mode)
-    rows = []
-    for p in points:
-        index_set = "|".join(str(i) for i in p.index_set) if p.index_set else "-"
-        rows.append(f"{index_set},{format_float(p.loss)},{'true' if p.is_global_min else 'false'}")
-    _write_csv(out / "critical.csv", "index_set,loss,is_global_min", rows)
+    _write_csv(out / "critical.csv", "index_set,loss,is_global_min",
+               (("|".join(map(str, p.index_set)) or "-", p.loss,
+                 "true" if p.is_global_min else "false") for p in points))
     click.echo(f"critical-points mode={mode} count={len(points)} "
                f"min_loss={format_float(points[0].loss)}")
 
@@ -183,17 +182,9 @@ def train_cmd(cfg: ExperimentConfig, out: Path):
     train_config = TrainConfig(mode=mode, epochs=cfg.require("epochs"), seed=cfg.require("seed"),
                                lam=lam, **optional)
     log = train(train_config, cfg.require("hidden"), x, y, rep=rep)
-    rows = [
-        ",".join([
-            str(rec.epoch),
-            format_float(rec.objective),
-            format_float(rec.w_perp_frob),
-            format_float(rec.invariance_ratio),
-            format_float(rec.accuracy),
-        ])
-        for rec in log.records
-    ]
-    _write_csv(out / "trainlog.csv", "epoch,objective,w_perp_frob,invariance_ratio,accuracy", rows)
+    _write_csv(out / "trainlog.csv", "epoch,objective,w_perp_frob,invariance_ratio,accuracy",
+               ((rec.epoch, rec.objective, rec.w_perp_frob, rec.invariance_ratio, rec.accuracy)
+                for rec in log.records))
     write_matrix(out / "Wfinal.mat", log.final_w)
     last = log.records[-1]
     click.echo(f"train mode={mode} epochs={len(log.records)} "
@@ -263,15 +254,14 @@ def ntk_check_cmd(cfg: ExperimentConfig, out: Path):
     """Run the tangent-kernel property suites; write ntk.csv; exit 2 on failure."""
     rep = resolve_group(cfg)
     rows = []
-    failed: dict[str, int] = {}
+    failed: set[str] = set()
     worst: dict[str, float] = {}
     suites = _ntk_suites(rep, cfg.require("width"), cfg.require("trials"), cfg.require("seed"))
     for suite, trial, value, bound, ok in suites:
-        rows.append(f"{suite},{trial},{format_float(value)},{format_float(bound)},"
-                    f"{'pass' if ok else 'fail'}")
+        rows.append((suite, trial, value, bound, "pass" if ok else "fail"))
         worst[suite] = max(worst.get(suite, 0.0), value)
         if not ok:
-            failed[suite] = failed.get(suite, 0) + 1
+            failed.add(suite)
     _write_csv(out / "ntk.csv", "suite,trial,discrepancy,tolerance,status", rows)
     for suite in worst:
         status = "FAIL" if suite in failed else "PASS"

@@ -99,6 +99,12 @@ def constraint_entries(g: ConstraintMatrix | np.ndarray, d0: int) -> np.ndarray:
     return entries
 
 
+def as_constraint(g: ConstraintMatrix | np.ndarray, d0: int) -> ConstraintMatrix:
+    """G, checked by ``constraint_entries``, as a ConstraintMatrix (an array-like's frozen copy)."""
+    entries = constraint_entries(g, d0)
+    return g if isinstance(g, ConstraintMatrix) else ConstraintMatrix(entries=_freeze(entries))
+
+
 def _validate_generator(gen: np.ndarray, order: int) -> np.ndarray:
     gen = np.asarray(gen, dtype=float)
     if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:

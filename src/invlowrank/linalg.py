@@ -48,8 +48,7 @@ class SvdFactors:
     @property
     def rank(self) -> int:
         """Number of singular values above the shared rank cutoff."""
-        shape = (self.u.shape[0], self.v.shape[0])
-        return int(np.count_nonzero(self.sigma > rank_cutoff(self.sigma, shape)))
+        return _rank(self.sigma, (self.u.shape[0], self.v.shape[0]))
 
     def pinv(self, k: int) -> np.ndarray:
         """Pseudoinverse that inverts the k largest singular values and zeroes the rest."""
@@ -125,19 +124,18 @@ def singular_values(m: np.ndarray) -> np.ndarray:
         raise NoConvergence(f"SVD did not converge for shape {m.shape}") from exc
 
 
-def rank_cutoff(sigma: np.ndarray, shape: tuple[int, int]) -> float:
-    """Threshold below which singular values count as zero."""
+def _rank(sigma: np.ndarray, shape: tuple[int, int]) -> int:
+    """Count of the singular values sigma of a ``shape`` matrix above the shared rank cutoff."""
     if sigma.size == 0:
-        return 0.0
-    return tol.RANK_CUTOFF_REL * float(sigma[0]) * max(shape)
+        return 0
+    return int(np.count_nonzero(sigma > tol.RANK_CUTOFF_REL * float(sigma[0]) * max(shape)))
 
 
 def numerical_rank(m: np.ndarray) -> int:
     m = as_matrix(m)
     if m.size == 0:
         return 0
-    s = singular_values(m)
-    return int(np.count_nonzero(s > rank_cutoff(s, m.shape)))
+    return _rank(singular_values(m), m.shape)
 
 
 def best_rank_r(m: np.ndarray, r: int) -> np.ndarray:

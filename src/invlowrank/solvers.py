@@ -46,8 +46,8 @@ from .errors import (
     SingularData,
     TooManySubsets,
 )
-from .groups import (ConstraintMatrix, GroupRep, check_acts_on, constraint_entries, elements,
-                     group_average, invariance_constraint)
+from .groups import (ConstraintMatrix, GroupRep, as_constraint, check_acts_on, constraint_entries,
+                     elements, group_average, invariance_constraint)
 
 WARN_RANK_VACUOUS = "RankConstraintVacuous"
 WARN_RANK_ASSUMPTION = "RankAssumptionViolated"
@@ -63,7 +63,8 @@ class RegressionProblem:
     X and Y must be finite and X X^T positive definite (full-row-rank data).
     The problem owns everything computed from its data, each at most once:
     construction whitens X X^T, which is the positive-definite check, derives
-    the constraint from the rep when only a rep is given, and attaches
+    the constraint from the rep when only a rep is given (an array G is
+    wrapped in a ConstraintMatrix), and attaches
     classification flags: Filling / NonFilling for the rank bound against
     min(d0, dL), and RankConstraintVacuous when r >= nullity(G). X and Y are
     not copied and must not change after construction.
@@ -72,7 +73,7 @@ class RegressionProblem:
     x: np.ndarray
     y: np.ndarray
     r: int
-    constraint: ConstraintMatrix | None = None
+    constraint: ConstraintMatrix | np.ndarray | None = None
     rep: GroupRep | None = None
     lam: float = 0.0
     flags: tuple[str, ...] = field(init=False, default=())
@@ -87,11 +88,9 @@ class RegressionProblem:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         self._whitened  # raises SingularData unless X X^T is positive definite
-        constraint = self.constraint
-        if constraint is None:
-            constraint = invariance_constraint(self.rep)
-            object.__setattr__(self, "constraint", constraint)
-        constraint_entries(constraint, x.shape[0])
+        constraint = as_constraint(invariance_constraint(self.rep) if self.constraint is None
+                                   else self.constraint, x.shape[0])
+        object.__setattr__(self, "constraint", constraint)
         flags = [FLAG_NON_FILLING if self.r < min(self.d0, self.dl) else FLAG_FILLING]
         if self.r >= constraint.nullity:
             flags.append(WARN_RANK_VACUOUS)
@@ -201,18 +200,13 @@ def _pd_inv_sqrt(m: np.ndarray) -> np.ndarray:
         raise SingularData(str(exc)) from exc
 
 
-def _objective(problem: RegressionProblem, mode: str, lam: float, w: np.ndarray) -> float:
-    """The objective ``mode`` minimizes at W: the orbit-averaged risk, or risk + lam ||W G||^2."""
-    if mode == "augmented":
-        return augmented_risk(w, problem.x, problem.y, problem.rep)
-    return empirical_risk(w, problem.x, problem.y, g=problem.constraint, lam=lam)
-
-
 def _solve(problem: RegressionProblem, mode: str, lam: float) -> RankBoundedSolution:
     """W = (best rank-r part of Zbar) R for ``mode`` at penalty ``lam``, and its diagnostics.
 
-    A tie at r-1 flags NonUniqueOptimum only when sigma_{r-1} is nonzero: a
-    target of rank below r is its own unique best rank-r approximation.
+    The loss is the objective ``mode`` minimizes: the orbit-averaged risk, or
+    the risk + lam ||W G||^2. A tie at r-1 flags NonUniqueOptimum only when
+    sigma_{r-1} is nonzero: a target of rank below r is its own unique best
+    rank-r approximation.
     """
     zbar, right = problem._target(mode, lam)
     f, r = linalg.svd(zbar), problem.r
@@ -224,7 +218,8 @@ def _solve(problem: RegressionProblem, mode: str, lam: float) -> RankBoundedSolu
     w = f.select(slice(0, r)) @ right
     return RankBoundedSolution(
         w=w,
-        loss=_objective(problem, mode, lam, w),
+        loss=(augmented_risk(w, problem.x, problem.y, problem.rep) if mode == "augmented"
+              else empirical_risk(w, problem.x, problem.y, g=problem.constraint, lam=lam)),
         rank=linalg.numerical_rank(w),
         invariance_residual=float(np.linalg.norm(w @ problem.constraint.entries)),
         warnings=tuple(warnings),

@@ -23,9 +23,6 @@ SYMMETRY = 1e-10
 # (linalg.SvdFactors.tied): a tie at r-1 makes the rank-r truncation non-unique
 SPECTRAL_GAP_REL = 1e-8
 
-# invariance residual of closed-form solutions: ||WG||_F < INVARIANCE_REL * ||W||_F * ||G||_F
-INVARIANCE_REL = 1e-9
-
 # orbit mean below this magnitude makes the relative invariance error undefined
 ORBIT_MEAN_FLOOR = 1e-12
 

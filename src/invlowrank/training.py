@@ -44,7 +44,7 @@ from .errors import (
     OrbitMeanZero,
     ShapeMismatch,
 )
-from .groups import (ConstraintMatrix, GroupRep, check_acts_on, constraint_entries, elements,
+from .groups import (ConstraintMatrix, GroupRep, as_constraint, check_acts_on, elements,
                      invariance_constraint, invariant_basis)
 from .solvers import empirical_risk, invariance_decomposition, penalty_entries
 
@@ -348,16 +348,16 @@ def _block_records(first_epoch: int, objectives: Sequence[float], maps: Sequence
 
 
 def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.ndarray,
-          rep: GroupRep | None = None, constraint: ConstraintMatrix | None = None,
+          rep: GroupRep | None = None, constraint: ConstraintMatrix | np.ndarray | None = None,
           basis: np.ndarray | None = None) -> TrainLog:
     """Full-batch Adam training in the configured mode.
 
-    The invariance constraint G is ``constraint``, or is built from ``rep``;
-    its d0 rows are checked once (``constraint_entries``), before any fold or
-    epoch. augmented needs ``rep`` (it trains on the group orbit of the data),
-    hardwired trains on ``basis`` @ x (rows spanning the invariant subspace,
-    by default ``invariant_basis(G)``), and regularized penalizes
-    ``config.lam`` ||W G||_F^2. MSE training runs on ``mse_surrogate`` of the
+    The invariance constraint G is ``constraint`` (a ConstraintMatrix or an
+    array-like), or is built from ``rep``; ``as_constraint`` checks its d0
+    rows once, before any fold or epoch. augmented needs ``rep`` (it trains on
+    the group orbit of the data), hardwired trains on ``basis`` @ x (rows
+    spanning the invariant subspace, by default ``invariant_basis(G)``), and
+    regularized penalizes ``config.lam`` ||W G||_F^2. MSE training runs on ``mse_surrogate`` of the
     mode's data, folded once before the first epoch, with the regularized
     penalty folded in as the block (sqrt(n lambda) G, 0); cross-entropy runs on
     the data itself and adds the penalty each epoch. The objective is checked
@@ -375,7 +375,8 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
         if rep is None:
             raise InvalidConfig("need a constraint or a rep for the invariance metrics")
         constraint = invariance_constraint(rep)
-    entries = constraint_entries(constraint, x.shape[0])
+    constraint = as_constraint(constraint, x.shape[0])
+    entries = constraint.entries
     if config.mode != "hardwired":
         basis = None  # only hardwired mode composes the net's map with a basis
     lam, g = 0.0, None

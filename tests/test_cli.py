@@ -5,7 +5,10 @@ import pytest
 
 from invlowrank import tolerances as tol
 from invlowrank.cli import entry
+from invlowrank.config import load_config, resolve_group
 from invlowrank.matio import read_matrix, write_matrix
+from invlowrank.solvers import RegressionProblem, enumerate_critical_points, regularization_path
+from invlowrank.training import TrainConfig, train
 
 from helpers import STANDARD_INSTANCE
 
@@ -153,6 +156,63 @@ def test_csv_hygiene(tmp_path, capsys):
     for line in raw.decode().splitlines():
         assert not line.endswith(",")
         assert line.count(",") == 3
+
+
+def _csv_fields(path):
+    """The header and the rows of a CSV output, after its byte-level hygiene checks."""
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    assert raw.endswith(b"\n")
+    header, *rows = raw.decode().split("\n")[:-1]
+    for line in rows:
+        assert not line.endswith(",")
+        assert line.count(",") == header.count(",")
+    return header, [line.split(",") for line in rows]
+
+
+def _assert_fields(rows, expected):
+    """Each float field parses back bit-equal to the in-process value; others print as str."""
+    assert len(rows) == len(expected)
+    for row, values in zip(rows, expected):
+        assert len(row) == len(values)
+        for text, value in zip(row, values):
+            if isinstance(value, float):
+                assert float(text).hex() == float(value).hex(), (text, value)
+            else:
+                assert text == str(value)
+
+
+def test_every_csv_is_well_formed_and_round_trips(tmp_path, capsys):
+    conf = write_config(tmp_path / "exp.conf", mode="regularized", hidden=3, epochs=20,
+                        lambda_grid="geom:1e-2:1e4:7", **{**BASE, "lambda": 0.1})
+    run_cli(["gen-data", "--config", conf, "--out", str(tmp_path)], capsys)
+    for command in ("path", "critical-points", "train"):
+        code, _, _ = run_cli([command, "--config", conf, "--out", str(tmp_path)], capsys)
+        assert code == 0
+    ntk_conf = write_config(tmp_path / "ntk.conf", **NTK)
+    code, _, _ = run_cli(["ntk-check", "--config", ntk_conf, "--out", str(tmp_path)], capsys)
+    assert code == 0
+
+    cfg = load_config(conf)
+    x, y, rep = read_matrix(tmp_path / "X.mat"), read_matrix(tmp_path / "Y.mat"), resolve_group(cfg)
+    samples = regularization_path(RegressionProblem(x=x, y=y, r=cfg.r, rep=rep), cfg.lambda_grid)
+    points = enumerate_critical_points(
+        RegressionProblem(x=x, y=y, r=cfg.r, rep=rep, lam=cfg.lam), "regularized")
+    log = train(TrainConfig(mode="regularized", epochs=cfg.epochs, seed=cfg.seed, lam=cfg.lam),
+                cfg.hidden, x, y, rep=rep)
+    expected = {
+        "path.csv": [(s.lam, s.loss, s.invariance_residual, s.distance_to_inv) for s in samples],
+        "critical.csv": [("|".join(map(str, p.index_set)), p.loss,
+                          "true" if p.is_global_min else "false") for p in points],
+        "trainlog.csv": [(r.epoch, r.objective, r.w_perp_frob, r.invariance_ratio, r.accuracy)
+                         for r in log.records],
+    }
+    for name, values in expected.items():
+        _, rows = _csv_fields(tmp_path / name)
+        _assert_fields(rows, values)
+    header, rows = _csv_fields(tmp_path / "ntk.csv")
+    assert header == "suite,trial,discrepancy,tolerance,status"
+    assert rows and {row[4] for row in rows} == {"pass"}
 
 
 def test_path_rejects_nonpositive_grid(tmp_path, capsys):

@@ -10,6 +10,7 @@ from invlowrank.errors import (
     NonSquare,
     NotARepresentation,
     OrderMismatch,
+    ShapeMismatch,
 )
 
 from helpers import embedded_cycle_rep, skewed_cycle_rep, trivial_rep
@@ -235,6 +236,19 @@ def test_invariant_basis_empty_null_space():
     rep = groups.rotation_2d(3)
     with pytest.raises(EmptyNullSpace):
         groups.invariant_basis(groups.invariance_constraint(rep))
+
+
+def test_as_constraint_checks_and_wraps_g():
+    g = groups.invariance_constraint(groups.c4_image_rotation(2))
+    assert groups.as_constraint(g, 4) is g
+    entries = np.array(g.entries)
+    wrapped = groups.as_constraint(entries, 4)
+    assert isinstance(wrapped, groups.ConstraintMatrix)
+    assert np.array_equal(wrapped.entries, entries)
+    assert wrapped.entries is not entries and not wrapped.entries.flags.writeable
+    for bad in (g, entries, entries[0]):
+        with pytest.raises(ShapeMismatch):
+            groups.as_constraint(bad, 5)
 
 
 def test_is_unitary():

@@ -47,6 +47,16 @@ def unconstrained_rrr(x, y, r):
     return linalg.best_rank_r(y @ x.T @ p_inv, r) @ p_inv
 
 
+def test_problem_takes_an_array_constraint():
+    base = random_problem(3)
+    g = np.array(base.constraint.entries)
+    a, b = (solve_constrained(RegressionProblem(x=base.x, y=base.y, r=base.r, constraint=c))
+            for c in (g, groups.ConstraintMatrix(g)))
+    assert np.array_equal(a.w, b.w)
+    assert (a.loss, a.rank, a.invariance_residual, a.warnings) == (
+        b.loss, b.rank, b.invariance_residual, b.warnings)
+
+
 def test_problem_validates_shapes_and_data():
     rng = np.random.default_rng(0)
     with pytest.raises(ShapeMismatch):

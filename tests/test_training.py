@@ -335,6 +335,17 @@ def test_train_derives_basis_and_constraint_from_rep(mode):
     assert a.records == b.records
 
 
+@pytest.mark.parametrize("mode", ["hardwired", "regularized"])
+def test_train_takes_an_array_constraint(mode):
+    x, y, rep = standard_instance()
+    g = np.array(groups.invariance_constraint(rep).entries)
+    config = TrainConfig(mode=mode, epochs=30, seed=4, lam=0.01)
+    a = train(config, (3,), x, y, constraint=g)
+    b = train(config, (3,), x, y, constraint=groups.ConstraintMatrix(g))
+    assert np.array_equal(a.final_w, b.final_w)
+    assert a.records == b.records
+
+
 def test_train_deterministic():
     x, y, rep = standard_instance()
     config = TrainConfig(mode="augmented", epochs=40, seed=5)
