@@ -1,8 +1,9 @@
 """Command-line experiment harness.
 
 Subcommands: gen-data, solve, path, critical-points, train, ntk-check, and
-compare. Every command takes --config <file>, --out <dir>, and --seed <u64>
-(seed overrides the config). Outputs are plain text (matrix files and CSV)
+compare. Every command but compare takes --config <file>, --out <dir>, and
+--seed <integer >= 0> (seed overrides the config); compare takes two matrix
+files and --tol. Outputs are plain text (matrix files and CSV)
 and byte-identical across reruns of the same config. Exit codes: 0 success,
 1 usage/I-O/config error, 2 numerical/solver error.
 """
@@ -98,8 +99,6 @@ def _read_data(cfg: ExperimentConfig, out: Path) -> tuple[np.ndarray, np.ndarray
     rep = resolve_group(cfg)
     x = read_matrix(_resolve_input(cfg, "x_file", out, "X.mat"))
     y = read_matrix(_resolve_input(cfg, "y_file", out, "Y.mat"))
-    if x.shape[0] != rep.dim:
-        raise InvalidConfig(f"X has {x.shape[0]} rows but the group acts on R^{rep.dim}")
     return x, y, rep
 
 
@@ -208,7 +207,7 @@ def _ntk_suites(rep: GroupRep, width: int, trials: int, seed: int):
     for t in range(trials):
         x, xp = unit(rng.standard_normal(d0)), unit(rng.standard_normal(d0))
         base = relu_limiting_ntk(x, xp)
-        value = max(abs(relu_limiting_ntk(g @ x, g @ xp) - base) for g in mats[1:]) if len(mats) > 1 else 0.0
+        value = max((abs(relu_limiting_ntk(g @ x, g @ xp) - base) for g in mats[1:]), default=0.0)
         yield "equivariance", t, value, tol.KERNEL_IDENTITY, value < tol.KERNEL_IDENTITY
 
     # Monte-Carlo convergence of the finite-width kernel to the closed form
@@ -242,10 +241,8 @@ def _ntk_suites(rep: GroupRep, width: int, trials: int, seed: int):
     for t in range(20):
         xt = rng.standard_normal(d0)
         ref = kernel_predict(relu_limiting_ntk, x_aug, coeffs, xt)
-        value = max(
-            abs(kernel_predict(relu_limiting_ntk, x_aug, coeffs, g @ xt) - ref)
-            for g in mats[1:]
-        ) if len(mats) > 1 else 0.0
+        value = max((abs(kernel_predict(relu_limiting_ntk, x_aug, coeffs, g @ xt) - ref)
+                     for g in mats[1:]), default=0.0)
         yield "augmented_predictor", t, value, bound, value <= bound
 
 

@@ -1,10 +1,10 @@
 """Flat key-value experiment configs and named group presets.
 
-One ``key = value`` per line, ``#`` comments, unknown keys rejected. Group
-presets: ``c4_image:<p>`` (90-degree rotation of a p x p image),
-``cyclic_perm:<d>`` (full d-cycle on R^d), ``rotation2d:<k>`` (planar
-rotation by 2*pi/k), or ``custom:<matrix file>+<order>`` with the file path
-resolved against the config file's directory.
+One ``key = value`` per line, ``#`` comments, unknown and repeated keys
+rejected. Group presets: ``c4_image:<p>`` (90-degree rotation of a p x p
+image), ``cyclic_perm:<d>`` (full d-cycle on R^d), ``rotation2d:<k>``
+(planar rotation by 2*pi/k), or ``custom:<matrix file>+<order>`` with the
+file path resolved against the config file's directory.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ def _attr(key: str) -> str:
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     cfg = ExperimentConfig(base_dir=base_dir or Path("."))
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -107,6 +108,9 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
         raw = raw.strip()
         if key not in KEYS:
             raise InvalidConfig(f"line {lineno}: unknown config key: {key}")
+        if key in set_on:
+            raise InvalidConfig(f"line {lineno}: key {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         if not raw:
             raise InvalidConfig(f"line {lineno}: key {key} has no value")
         spec = KEYS[key]

@@ -91,16 +91,24 @@ class ConstraintMatrix:
         return _freeze((proj + proj.T) / 2.0)
 
 
-def constraint_entries(g: ConstraintMatrix | np.ndarray, d0: int) -> np.ndarray:
-    """G (a ConstraintMatrix or an array-like) as a float matrix; ShapeMismatch unless d0 x k."""
+def constraint_entries(g: ConstraintMatrix | np.ndarray, d0: int | None) -> np.ndarray:
+    """G (a ConstraintMatrix or an array-like) as a float matrix; ShapeMismatch unless d0 x k.
+
+    A d0 of None checks only that G is 2-d.
+    """
     entries = linalg.as_matrix(g.entries if isinstance(g, ConstraintMatrix) else g)
-    if entries.shape[0] != d0:
+    if d0 is not None and entries.shape[0] != d0:
         raise ShapeMismatch(f"constraint G {entries.shape} does not have d0 = {d0} rows")
     return entries
 
 
-def as_constraint(g: ConstraintMatrix | np.ndarray, d0: int) -> ConstraintMatrix:
-    """G, checked by ``constraint_entries``, as a ConstraintMatrix (an array-like's frozen copy)."""
+def as_constraint(g: ConstraintMatrix | np.ndarray | None, d0: int | None,
+                  rep: GroupRep | None = None) -> ConstraintMatrix:
+    """G, checked by ``constraint_entries``, as a ConstraintMatrix; without a G, the rep's G."""
+    if g is None:
+        if rep is None:
+            raise InvalidArgument("need a constraint G or a group rep")
+        g = invariance_constraint(rep)
     entries = constraint_entries(g, d0)
     return g if isinstance(g, ConstraintMatrix) else ConstraintMatrix(entries=_freeze(entries))
 
@@ -223,12 +231,14 @@ def equivariance_constraint(rep_x: GroupRep, rep_y: GroupRep) -> ConstraintMatri
     return invariance_constraint(GroupRep(generators=gens, orders=rep_x.orders))
 
 
-def invariant_basis(constraint: ConstraintMatrix) -> np.ndarray:
+def invariant_basis(constraint: ConstraintMatrix | np.ndarray) -> np.ndarray:
     """Orthonormal rows B (d x d0) spanning the left null space of G: B G = 0.
 
-    Sign convention: the first nonzero entry of each row is positive, so the
-    basis is reproducible across runs.
+    G is a ConstraintMatrix or an array-like (through ``as_constraint``). Sign
+    convention: the first nonzero entry of each row is positive, so the basis
+    is reproducible across runs.
     """
+    constraint = as_constraint(constraint, None)
     if constraint.nullity == 0:
         raise EmptyNullSpace("constraint has full row rank: no invariant maps")
     basis = constraint.factors.u[:, constraint.dim - constraint.nullity:].T.copy()

@@ -133,8 +133,6 @@ def _rank(sigma: np.ndarray, shape: tuple[int, int]) -> int:
 
 def numerical_rank(m: np.ndarray) -> int:
     m = as_matrix(m)
-    if m.size == 0:
-        return 0
     return _rank(singular_values(m), m.shape)
 
 

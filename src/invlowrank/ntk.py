@@ -13,10 +13,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import linalg
 from . import tolerances as tol
 from .activations import get_activation
-from .errors import DimensionMismatch, InvalidArgument, NotUnitary, SingularKernel, ZeroVector
-from .groups import GroupRep, elements, is_unitary
+from .errors import (DimensionMismatch, InvalidArgument, NotUnitary, ShapeMismatch, SingularKernel,
+                     ZeroVector)
+from .groups import GroupRep, check_acts_on, elements, is_unitary
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,24 @@ def orbit_symmetrize(samples: WidthSampleSet, rep: GroupRep) -> WidthSampleSet:
     The exact conv-kernel = augmented-kernel identity holds on orbit-closed
     sets; expansion is sample-major (the full orbit of w_0 first).
     """
+    check_acts_on(rep, samples.weights.T)
     mats = elements(rep)
     weights = np.vstack([
         np.stack([g.T @ w for g in mats]) for w in samples.weights
     ])
     out_scales = np.repeat(samples.out_scales, len(mats))
     return WidthSampleSet(weights=weights, out_scales=out_scales, seed=samples.seed)
+
+
+def _input_pair(x: np.ndarray, xp: np.ndarray, dim: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """x and x' as float vectors of one length (``dim`` when given); DimensionMismatch otherwise."""
+    x = np.asarray(x, dtype=float)
+    xp = np.asarray(xp, dtype=float)
+    if x.ndim != 1 or x.shape != xp.shape or dim not in (None, x.shape[0]):
+        length = "one length" if dim is None else f"length {dim}"
+        raise DimensionMismatch(f"inputs {x.shape}, {xp.shape} are not vectors of {length}")
+    return x, xp
 
 
 def relu_limiting_ntk(x: np.ndarray, xp: np.ndarray) -> float:
@@ -78,10 +92,7 @@ def relu_limiting_ntk(x: np.ndarray, xp: np.ndarray) -> float:
     exact at the parallel and antipodal endpoints where arccos of a rounded
     cosine loses ~sqrt(eps) digits.
     """
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    if x.shape != xp.shape:
-        raise DimensionMismatch(f"shapes {x.shape} vs {xp.shape}")
+    x, xp = _input_pair(x, xp)
     nx = float(np.linalg.norm(x))
     np_ = float(np.linalg.norm(xp))
     if nx == 0.0 or np_ == 0.0:
@@ -106,12 +117,7 @@ def empirical_ntk(samples: WidthSampleSet, activation: str,
 def empirical_ntk_terms(samples: WidthSampleSet, activation: str,
                         x: np.ndarray, xp: np.ndarray) -> np.ndarray:
     """The d1 per-unit summands of the empirical kernel (for error bars)."""
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    if x.shape != xp.shape or x.shape[0] != samples.weights.shape[1]:
-        raise DimensionMismatch(
-            f"inputs {x.shape}, {xp.shape} vs weight dim {samples.weights.shape[1]}"
-        )
+    x, xp = _input_pair(x, xp, samples.weights.shape[1])
     act, act_prime = get_activation(activation)
     pre_x = samples.weights @ x
     pre_y = samples.weights @ xp
@@ -122,6 +128,7 @@ def empirical_ntk_terms(samples: WidthSampleSet, activation: str,
 def augmented_kernel(kernel: Callable[[np.ndarray, np.ndarray], float],
                      rep: GroupRep, x: np.ndarray, xp: np.ndarray) -> float:
     """Uniform group average E_g k(rho(g) x, x')."""
+    check_acts_on(rep, x)
     vals = [kernel(g @ x, xp) for g in elements(rep)]
     return float(np.mean(vals))
 
@@ -129,6 +136,7 @@ def augmented_kernel(kernel: Callable[[np.ndarray, np.ndarray], float],
 def conv_forward(samples: WidthSampleSet, activation: str, rep: GroupRep,
                  x: np.ndarray) -> float:
     """Group-convolutional net (1/sqrt(d1)) sum_d a_d mean_g sigma(w_d^T rho(g) x)."""
+    check_acts_on(rep, x)
     act, _ = get_activation(activation)
     orbit = np.stack([g @ x for g in elements(rep)])      # k x d0
     pre = samples.weights @ orbit.T                       # d1 x k
@@ -146,6 +154,8 @@ def conv_empirical_ntk(samples: WidthSampleSet, activation: str, rep: GroupRep,
     """
     if not is_unitary(rep):
         raise NotUnitary("group-convolutional kernel requires a unitary representation")
+    check_acts_on(rep, x)
+    check_acts_on(rep, xp)
     act, act_prime = get_activation(activation)
     mats = elements(rep)
 
@@ -166,6 +176,7 @@ def conv_empirical_ntk(samples: WidthSampleSet, activation: str, rep: GroupRep,
 def build_kernel_matrix(kernel: Callable[[np.ndarray, np.ndarray], float],
                         points: np.ndarray, jitter: float | None = None) -> KernelMatrix:
     """Gram matrix over the columns of ``points``; default jitter KERNEL_JITTER_REL trace/n."""
+    points = linalg.as_matrix(points)
     n = points.shape[1]
     k = np.empty((n, n))
     for i in range(n):
@@ -178,8 +189,11 @@ def build_kernel_matrix(kernel: Callable[[np.ndarray, np.ndarray], float],
 
 
 def kernel_interpolate(k: KernelMatrix, y: np.ndarray) -> np.ndarray:
-    """Solve (K + jitter I) alpha = y, verifying the residual."""
+    """Solve (K + jitter I) alpha = y, verifying the residual; y has one entry per point."""
     y = np.asarray(y, dtype=float)
+    if y.shape[:1] != k.entries.shape[:1]:
+        raise ShapeMismatch(f"targets {y.shape} lack one entry per kernel point "
+                            f"({k.entries.shape[0]})")
     system = k.entries + k.jitter * np.eye(k.entries.shape[0])
     try:
         alpha = np.linalg.solve(system, y)

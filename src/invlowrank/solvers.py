@@ -18,12 +18,13 @@ P = (X X^T)^(1/2), Z = Y X^T P^-1 and G~ = P^-1 G:
   Zbar = |G| Y X^T Gbar^T Q^-1, R = Q^-1, Q = (sum_g rho(g) X X^T rho(g)^T)^(1/2).
 
 A RegressionProblem factors its data once: construction whitens X X^T, and
-G~ G~^T is factored on first use, so every solver call on one problem
-shares both. A regularization path sample is the regularized solution at
-its lambda, at the cost of one diagonal scaling and one SVD. The critical
-points of each problem on the rank-r variety select every size-r index set
-of Zbar's singular triples instead of the top r. The module also computes
-the invariant/non-invariant decomposition of an arbitrary W.
+G~ G~^T and the orbit Gram matrix Q^2 are factored on first use, so every
+solver call on one problem shares them. A regularization path sample is the
+regularized solution at its lambda, at the cost of one diagonal scaling and
+one SVD. The critical points of each problem on the rank-r variety select
+every size-r index set of Zbar's singular triples instead of the top r. The
+module also computes the invariant/non-invariant decomposition of an
+arbitrary W.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,7 +49,7 @@ from .errors import (
     TooManySubsets,
 )
 from .groups import (ConstraintMatrix, GroupRep, as_constraint, check_acts_on, constraint_entries,
-                     elements, group_average, invariance_constraint)
+                     elements, group_average)
 
 WARN_RANK_VACUOUS = "RankConstraintVacuous"
 WARN_RANK_ASSUMPTION = "RankAssumptionViolated"
@@ -60,14 +62,15 @@ FLAG_NON_FILLING = "NonFilling"
 class RegressionProblem:
     """Data (X, Y), a constraint (matrix G or group rep), a rank bound, and lambda.
 
-    X and Y must be finite and X X^T positive definite (full-row-rank data).
-    The problem owns everything computed from its data, each at most once:
-    construction whitens X X^T, which is the positive-definite check, derives
-    the constraint from the rep when only a rep is given (an array G is
-    wrapped in a ConstraintMatrix), and attaches
-    classification flags: Filling / NonFilling for the rank bound against
-    min(d0, dL), and RankConstraintVacuous when r >= nullity(G). X and Y are
-    not copied and must not change after construction.
+    X and Y must be finite, X X^T positive definite (full-row-rank data), and a
+    given rep must act on X's rows (``check_acts_on``). The problem owns
+    everything computed from its data, each at most once: construction takes G
+    by ``as_constraint`` (the given G, else the rep's), whitens X X^T, which is
+    the positive-definite check, and attaches classification flags: Filling /
+    NonFilling for the rank bound against min(d0, dL), and
+    RankConstraintVacuous when r >= nullity(G). Augmented mode whitens the
+    orbit Gram matrix on first use. X and Y are not copied and must not change
+    after construction.
     """
 
     x: np.ndarray
@@ -80,17 +83,16 @@ class RegressionProblem:
 
     def __post_init__(self):
         x, y = linalg.check_samples(self.x, self.y)
-        if self.r < 0:
-            raise InvalidArgument(f"rank bound must be >= 0, got {self.r}")
+        if not (isinstance(self.r, numbers.Integral) and self.r >= 0):
+            raise InvalidArgument(f"rank bound must be an integer >= 0, got {self.r!r}")
         _check_lambda(self.lam)
-        if self.constraint is None and self.rep is None:
-            raise InvalidArgument("need a ConstraintMatrix or a GroupRep")
+        if self.rep is not None:
+            check_acts_on(self.rep, x)
+        constraint = as_constraint(self.constraint, x.shape[0], self.rep)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        self._whitened  # raises SingularData unless X X^T is positive definite
-        constraint = as_constraint(invariance_constraint(self.rep) if self.constraint is None
-                                   else self.constraint, x.shape[0])
         object.__setattr__(self, "constraint", constraint)
+        self._whitened  # raises SingularData unless X X^T is positive definite
         flags = [FLAG_NON_FILLING if self.r < min(self.d0, self.dl) else FLAG_FILLING]
         if self.r >= constraint.nullity:
             flags.append(WARN_RANK_VACUOUS)
@@ -111,8 +113,16 @@ class RegressionProblem:
     @cached_property
     def _whitened(self) -> tuple[np.ndarray, np.ndarray]:
         """P^-1 and Z = Y X^T P^-1."""
-        p_inv = _pd_inv_sqrt(self.x @ self.x.T)
-        return p_inv, self.y @ self.x.T @ p_inv
+        return _whiten(self.x @ self.x.T, self.y @ self.x.T)
+
+    @cached_property
+    def _orbit_whitened(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q^-1 and the augmented target |G| Y X^T Gbar^T Q^-1."""
+        if self.rep is None:
+            raise InvalidArgument("augmented mode needs a GroupRep on the problem")
+        xxt = self.x @ self.x.T
+        return _whiten(sum(g @ xxt @ g.T for g in elements(self.rep)),
+                       self.rep.order * self.y @ self.x.T @ group_average(self.rep).T)
 
     @cached_property
     def _penalty_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,11 +136,8 @@ class RegressionProblem:
     def _target(self, mode: str, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """The whitened target Zbar and right factor R of ``mode`` at penalty ``lam``."""
         if mode == "augmented":
-            if self.rep is None:
-                raise InvalidArgument("augmented mode needs a GroupRep on the problem")
-            xxt = self.x @ self.x.T
-            q_inv = _pd_inv_sqrt(sum(g @ xxt @ g.T for g in elements(self.rep)))
-            return self.rep.order * self.y @ self.x.T @ group_average(self.rep).T @ q_inv, q_inv
+            q_inv, zbar = self._orbit_whitened
+            return zbar, q_inv
         p_inv, z = self._whitened
         if mode == "constrained":
             # col(G~) = P^-1 col(G) = P^-1 U_m, where U_m holds G's m = rank(G) leading left
@@ -193,11 +200,13 @@ def _check_lambda(lam: float) -> None:
         raise InvalidArgument(f"lambda must be a finite real >= 0, got {lam}")
 
 
-def _pd_inv_sqrt(m: np.ndarray) -> np.ndarray:
+def _whiten(gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gram^(-1/2) and cross gram^(-1/2); SingularData unless gram is positive definite."""
     try:
-        return linalg.pd_inv_sqrt(m)
+        inv_sqrt = linalg.pd_inv_sqrt(gram)
     except NotPositiveDefinite as exc:
         raise SingularData(str(exc)) from exc
+    return inv_sqrt, cross @ inv_sqrt
 
 
 def _solve(problem: RegressionProblem, mode: str, lam: float) -> RankBoundedSolution:
@@ -267,7 +276,10 @@ def regularization_path(problem: RegressionProblem, lambdas) -> list[PathSample]
     the path converges to it as lambda grows. The problem's own lambda is
     ignored.
     """
-    lams = [float(v) for v in lambdas]
+    try:
+        lams = [float(v) for v in lambdas]
+    except (TypeError, ValueError) as exc:
+        raise InvalidGrid(f"lambda grid must be an iterable of reals, got {lambdas!r}") from exc
     if not lams:
         raise InvalidGrid("lambda grid is empty")
     if not all(math.isfinite(v) and v > 0 for v in lams):

@@ -27,6 +27,7 @@ metric.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -45,7 +46,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .groups import (ConstraintMatrix, GroupRep, as_constraint, check_acts_on, elements,
-                     invariance_constraint, invariant_basis)
+                     invariant_basis)
 from .solvers import empirical_risk, invariance_decomposition, penalty_entries
 
 MODES = ("augmented", "hardwired", "regularized")
@@ -88,8 +89,8 @@ class TrainConfig:
         b1, b2 = self.adam_betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise InvalidConfig("adam betas must lie in [0, 1)")
-        if self.epochs < 1:
-            raise InvalidConfig("epochs must be >= 1")
+        if not (isinstance(self.epochs, numbers.Integral) and self.epochs >= 1):
+            raise InvalidConfig(f"epochs must be an integer >= 1, got {self.epochs!r}")
         _check_positive("init_scale", self.init_scale)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise InvalidConfig(f"lambda must be a finite real >= 0, got {self.lam}")
@@ -134,7 +135,7 @@ class NonlinearNetParams:
 def init_params(dims: Sequence[int], seed: int, init_scale: float = 1.0) -> LinearNetParams:
     """Seeded Gaussian init, std init_scale / sqrt(fan_in) per layer."""
     _check_positive("init_scale", init_scale)
-    if len(dims) < 2 or any(d < 1 for d in dims):
+    if len(dims) < 2 or not all(isinstance(d, numbers.Integral) and d >= 1 for d in dims):
         raise InvalidConfig(f"dims must be >= 2 positive integers, got {dims}")
     rng = np.random.default_rng(seed)
     weights = []
@@ -353,8 +354,9 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     """Full-batch Adam training in the configured mode.
 
     The invariance constraint G is ``constraint`` (a ConstraintMatrix or an
-    array-like), or is built from ``rep``; ``as_constraint`` checks its d0
-    rows once, before any fold or epoch. augmented needs ``rep`` (it trains on
+    array-like), or is built from ``rep``; before any fold or epoch,
+    ``as_constraint`` checks G's d0 rows and ``check_acts_on`` a given rep
+    against X. augmented needs ``rep`` (it trains on
     the group orbit of the data), hardwired trains on ``basis`` @ x (rows
     spanning the invariant subspace, by default ``invariant_basis(G)``), and
     regularized penalizes ``config.lam`` ||W G||_F^2. MSE training runs on ``mse_surrogate`` of the
@@ -371,11 +373,9 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     x, y = linalg.check_samples(x, y)
     if x.shape[1] == 0:
         raise InvalidArgument("training needs at least one sample")
-    if constraint is None:
-        if rep is None:
-            raise InvalidConfig("need a constraint or a rep for the invariance metrics")
-        constraint = invariance_constraint(rep)
-    constraint = as_constraint(constraint, x.shape[0])
+    if rep is not None:
+        check_acts_on(rep, x)
+    constraint = as_constraint(constraint, x.shape[0], rep)
     entries = constraint.entries
     if config.mode != "hardwired":
         basis = None  # only hardwired mode composes the net's map with a basis
@@ -384,7 +384,6 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     if config.mode == "augmented":
         if rep is None:
             raise InvalidConfig("augmented mode needs a group representation")
-        check_acts_on(rep, x)
         # [X^T rho^T Y^T] = [X^T Y^T] diag(rho^T, I), so the orbit folds from the
         # data's own R factor: each element multiplies k <= d0 + dL columns, not n
         x0, y0 = mse_surrogate([(x, y)]) if config.loss == "mse" else (x, y)
@@ -441,8 +440,16 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     return TrainLog(records=tuple(records), final_w=w if basis is None else w @ basis)
 
 
+def _check_net_inputs(params: NonlinearNetParams, x: np.ndarray) -> None:
+    """ShapeMismatch unless x has the d0 rows the hidden layer takes."""
+    if np.shape(x)[:1] != params.hidden.shape[1:2]:
+        raise ShapeMismatch(f"input {np.shape(x)} lacks the {params.hidden.shape[1]} rows "
+                            "the hidden layer takes")
+
+
 def nonlinear_forward(params: NonlinearNetParams, x: np.ndarray) -> np.ndarray:
     """f(x) = (1/sqrt(d1)) * out @ sigma(hidden @ x)."""
+    _check_net_inputs(params, x)
     act, _ = get_activation(params.activation)
     d1 = params.hidden.shape[0]
     return params.out @ act(params.hidden @ x) / np.sqrt(d1)
@@ -451,6 +458,7 @@ def nonlinear_forward(params: NonlinearNetParams, x: np.ndarray) -> np.ndarray:
 def nonlinear_gradient(params: NonlinearNetParams, x: np.ndarray,
                        y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of (1/n)||f(X) - Y||_F^2 w.r.t. (hidden, out) weights."""
+    _check_net_inputs(params, x)
     act, act_prime = get_activation(params.activation)
     d1 = params.hidden.shape[0]
     scale = 1.0 / np.sqrt(d1)

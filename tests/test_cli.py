@@ -96,6 +96,23 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "wat" in err
 
 
+def test_repeated_config_key_exit_1(tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("group = c4_image:2\nseed = 1\ndL = 2\nn = 9\nseed = 2\n")
+    code, _, err = run_cli(["gen-data", "--config", str(conf), "--out", str(tmp_path)], capsys)
+    assert_config_error(code, err, "line 5: key seed is already set on line 2")
+    assert not (tmp_path / "X.mat").exists()
+
+
+@pytest.mark.parametrize("command, keys", [("solve", dict(mode="constrained")),
+                                           ("train", dict(mode="hardwired", hidden=3, epochs=2))])
+def test_data_rows_not_the_group_dimension_exit_1(tmp_path, capsys, command, keys):
+    gen_data(tmp_path, capsys)
+    conf = write_config(tmp_path / "exp.conf", **{**BASE, "group": "c4_image:3", **keys})
+    code, _, err = run_cli([command, "--config", conf, "--out", str(tmp_path)], capsys)
+    assert_config_error(code, err, "lacks the 9 rows the group acts on")
+
+
 def test_gen_data_rejects_small_n(tmp_path, capsys):
     conf = write_config(tmp_path / "exp.conf", group="c4_image:4", dL=4, n=8, seed=0)
     code, _, err = run_cli(["gen-data", "--config", str(conf), "--out", str(tmp_path)], capsys)

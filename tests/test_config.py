@@ -74,6 +74,11 @@ def test_unknown_key_rejected():
         parse_config_text("seed = 1\nwat = 7\n")
 
 
+def test_repeated_key_rejected():
+    with pytest.raises(InvalidConfig, match="line 3: key seed is already set on line 1"):
+        parse_config_text("seed = 1\nr = 2\nseed = 3\n")
+
+
 def test_empty_value_rejected():
     with pytest.raises(InvalidConfig, match="line 1: key seed has no value"):
         parse_config_text("seed =   # nothing\n")

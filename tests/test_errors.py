@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from invlowrank import activations, groups, linalg, ntk, solvers, training
-from invlowrank.errors import (ConfigError, HarnessError, InvalidArgument, InvalidConfig,
-                               InvalidGrid, ShapeMismatch)
+from invlowrank.errors import (ConfigError, EmptyNullSpace, HarnessError, InvalidArgument,
+                               InvalidConfig, InvalidGrid, ShapeMismatch)
 
 from helpers import embedded_cycle_rep
 
@@ -32,6 +32,7 @@ def _train(x, y, mode="augmented"):
 
 BAD_CALLS = {
     "solvers.rank_bound": lambda: _problem(r=-1, rep=embedded_cycle_rep(4, 2)),
+    "solvers.rank_bound_fraction": lambda: _problem(r=1.5, rep=embedded_cycle_rep(4, 2)),
     "solvers.lambda": lambda: _problem(lam=-1.0, rep=embedded_cycle_rep(4, 2)),
     "solvers.no_constraint": lambda: _problem(),
     "solvers.with_lambda_negative": lambda: solvers.with_lambda(
@@ -132,6 +133,25 @@ def test_non_finite_input_is_rejected_where_it_enters(error, call):
     assert isinstance(excinfo.value, ConfigError)
 
 
+# a value of the wrong kind: a fractional count, a grid that is not reals, an array G
+WRONG_KIND_CALLS = {
+    "training.epochs_fraction": (InvalidConfig, lambda: training.TrainConfig(
+        mode="augmented", epochs=1.5, seed=0)),
+    "training.init_params_fraction": (InvalidConfig, lambda: training.init_params((3, 2.5), 0)),
+    "solvers.grid_text": (InvalidGrid, lambda: _path_on_grid(["a"])),
+    "solvers.grid_none": (InvalidGrid, lambda: _path_on_grid(None)),
+    "groups.invariant_basis_array": (EmptyNullSpace, lambda: groups.invariant_basis(np.eye(3))),
+}
+
+
+@pytest.mark.parametrize("error, call", list(WRONG_KIND_CALLS.values()),
+                         ids=list(WRONG_KIND_CALLS))
+def test_wrong_kind_of_value_raises_typed_error(error, call):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert isinstance(excinfo.value, HarnessError)
+
+
 def _hardwired_with_basis(basis):
     x = np.random.default_rng(0).standard_normal((4, 8))
     return training.train(training.TrainConfig(mode="hardwired", epochs=1, seed=0), (2,),
@@ -148,6 +168,12 @@ def _train_with_constraint_rows(mode, loss, epochs=1):
 
 
 ONE_HOT_3 = np.eye(2)[:, [0, 1, 0]]
+
+
+def _nonlinear_net():
+    """A two-layer net on 4 inputs with 6 hidden units."""
+    return training.NonlinearNetParams(hidden=np.ones((6, 4)), out=np.ones((1, 6)),
+                                       activation="relu")
 
 SHAPE_CALLS = {
     "training.augment_dataset_rows": lambda: training.augment_dataset(
@@ -211,6 +237,33 @@ SHAPE_CALLS = {
     "ntk.relu_limiting_ntk_dims": lambda: ntk.relu_limiting_ntk(np.ones(3), np.ones(4)),
     "ntk.empirical_ntk_terms_dims": lambda: ntk.empirical_ntk_terms(
         ntk.sample_width_set(4, 8, seed=0), "relu", np.ones(3), np.ones(3)),
+    "solvers.problem_rep_rows": lambda: _problem(
+        constraint=groups.invariance_constraint(embedded_cycle_rep(4, 2)),
+        rep=embedded_cycle_rep(5, 2)),
+    "training.train_hardwired_rep_rows": lambda: training.train(
+        training.TrainConfig(mode="hardwired", epochs=1, seed=0), (2,), np.ones((4, 5)),
+        np.ones((2, 5)), rep=embedded_cycle_rep(5, 2),
+        constraint=groups.invariance_constraint(embedded_cycle_rep(4, 2))),
+    "ntk.relu_limiting_ntk_2d": lambda: ntk.relu_limiting_ntk(np.eye(2), np.eye(2)),
+    "ntk.empirical_ntk_terms_2d": lambda: ntk.empirical_ntk_terms(
+        ntk.sample_width_set(2, 8, seed=0), "relu", np.eye(2), np.eye(2)),
+    "ntk.augmented_kernel_dims": lambda: ntk.augmented_kernel(
+        ntk.relu_limiting_ntk, embedded_cycle_rep(4, 2), np.ones(3), np.ones(3)),
+    "ntk.conv_forward_dims": lambda: ntk.conv_forward(
+        ntk.sample_width_set(4, 8, seed=0), "relu", embedded_cycle_rep(4, 2), np.ones(3)),
+    "ntk.conv_empirical_ntk_dims": lambda: ntk.conv_empirical_ntk(
+        ntk.sample_width_set(4, 8, seed=0), "relu", embedded_cycle_rep(4, 2), np.ones(3),
+        np.ones(3)),
+    "ntk.orbit_symmetrize_dims": lambda: ntk.orbit_symmetrize(
+        ntk.sample_width_set(3, 8, seed=0), embedded_cycle_rep(4, 2)),
+    "ntk.build_kernel_matrix_1d": lambda: ntk.build_kernel_matrix(
+        ntk.relu_limiting_ntk, np.ones(3)),
+    "ntk.kernel_interpolate_targets": lambda: ntk.kernel_interpolate(
+        ntk.KernelMatrix(entries=np.eye(3), jitter=0.0), np.ones(4)),
+    "training.nonlinear_forward_rows": lambda: training.nonlinear_forward(
+        _nonlinear_net(), np.ones((3, 5))),
+    "training.nonlinear_gradient_rows": lambda: training.nonlinear_gradient(
+        _nonlinear_net(), np.ones((3, 5)), np.ones((1, 5))),
 }
 
 

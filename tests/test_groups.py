@@ -7,6 +7,7 @@ from invlowrank import groups, linalg
 from invlowrank.errors import (
     EmptyNullSpace,
     IndexOutOfRange,
+    InvalidArgument,
     NonSquare,
     NotARepresentation,
     OrderMismatch,
@@ -249,6 +250,23 @@ def test_as_constraint_checks_and_wraps_g():
     for bad in (g, entries, entries[0]):
         with pytest.raises(ShapeMismatch):
             groups.as_constraint(bad, 5)
+
+
+def test_as_constraint_builds_g_from_the_rep_without_a_g():
+    rep = groups.c4_image_rotation(2)
+    built = groups.as_constraint(None, 4, rep)
+    assert np.array_equal(built.entries, groups.invariance_constraint(rep).entries)
+    given = groups.as_constraint(np.zeros((4, 4)), 4, rep)
+    assert np.array_equal(given.entries, np.zeros((4, 4)))
+    with pytest.raises(ShapeMismatch):
+        groups.as_constraint(None, 5, rep)
+    with pytest.raises(InvalidArgument):
+        groups.as_constraint(None, 4)
+
+
+def test_invariant_basis_takes_an_array_g():
+    g = groups.invariance_constraint(groups.c4_image_rotation(3))
+    assert np.array_equal(groups.invariant_basis(np.array(g.entries)), groups.invariant_basis(g))
 
 
 def test_is_unitary():

@@ -536,6 +536,19 @@ def test_problem_whitens_its_data_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_augmented_mode_whitens_the_orbit_once(monkeypatch):
+    base = random_problem(seed=35, d0=8, dl=5, order=4, r=2)
+    calls = []
+    pd_inv_sqrt = linalg.pd_inv_sqrt
+    monkeypatch.setattr(linalg, "pd_inv_sqrt", lambda m: calls.append(m) or pd_inv_sqrt(m))
+    prob = RegressionProblem(x=base.x, y=base.y, r=base.r, rep=base.rep)
+    first = solve_augmented(prob)
+    enumerate_critical_points(prob, "augmented")
+    again = solve_augmented(prob)
+    assert len(calls) == 2  # X X^T, then the orbit Gram matrix
+    assert np.all(first.w == again.w)
+
+
 def test_lambda_sweep_whitens_once(monkeypatch):
     base = random_problem(seed=34, d0=8, dl=5, order=4, r=2)
     calls = []
