@@ -86,9 +86,8 @@ class ConstraintMatrix:
 
     @cached_property
     def null_projector(self) -> np.ndarray:
-        """I - G G^+, computed on first use and kept; W (I - G G^+) is the invariant part of W."""
-        proj = np.eye(self.dim) - self.entries @ self.factors.pinv(self.dim - self.nullity)
-        return _freeze((proj + proj.T) / 2.0)
+        """I - G G^+ from the cached SVD, kept; W (I - G G^+) is the invariant part of W."""
+        return _freeze(linalg.left_null_projector(self.entries, self.factors))
 
 
 def constraint_entries(g: ConstraintMatrix | np.ndarray, d0: int | None) -> np.ndarray:

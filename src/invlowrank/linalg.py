@@ -183,17 +183,17 @@ def pd_inv_sqrt(m: np.ndarray) -> np.ndarray:
     return (p + p.T) / 2.0
 
 
-def pinv(m: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD with the shared rank cutoff."""
-    f = svd(m)
+def pinv(m: np.ndarray, f: SvdFactors | None = None) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with the shared rank cutoff, from m's SVD ``f`` if given."""
+    f = svd(m) if f is None else f
     return f.pinv(f.rank)
 
 
-def left_null_projector(g: np.ndarray) -> np.ndarray:
+def left_null_projector(g: np.ndarray, f: SvdFactors | None = None) -> np.ndarray:
     """Projector Pi = I - G G^+ onto the orthogonal complement of col(G).
 
-    Any W satisfies (W @ Pi) @ G = 0; Pi is symmetric and idempotent.
+    Any W satisfies (W @ Pi) @ G = 0; Pi is symmetric and idempotent. ``f`` is G's SVD if given.
     """
     g = np.asarray(g, dtype=float)
-    proj = np.eye(g.shape[0]) - g @ pinv(g)
+    proj = np.eye(g.shape[0]) - g @ pinv(g, f)
     return (proj + proj.T) / 2.0

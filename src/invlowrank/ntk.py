@@ -136,6 +136,7 @@ def augmented_kernel(kernel: Callable[[np.ndarray, np.ndarray], float],
 def conv_forward(samples: WidthSampleSet, activation: str, rep: GroupRep,
                  x: np.ndarray) -> float:
     """Group-convolutional net (1/sqrt(d1)) sum_d a_d mean_g sigma(w_d^T rho(g) x)."""
+    check_acts_on(rep, samples.weights.T)
     check_acts_on(rep, x)
     act, _ = get_activation(activation)
     orbit = np.stack([g @ x for g in elements(rep)])      # k x d0
@@ -154,6 +155,7 @@ def conv_empirical_ntk(samples: WidthSampleSet, activation: str, rep: GroupRep,
     """
     if not is_unitary(rep):
         raise NotUnitary("group-convolutional kernel requires a unitary representation")
+    check_acts_on(rep, samples.weights.T)
     check_acts_on(rep, x)
     check_acts_on(rep, xp)
     act, act_prime = get_activation(activation)
@@ -208,5 +210,9 @@ def kernel_interpolate(k: KernelMatrix, y: np.ndarray) -> np.ndarray:
 
 def kernel_predict(kernel: Callable[[np.ndarray, np.ndarray], float],
                    centers: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> float:
-    """sum_i coeffs[i] k(x, centers[:, i])."""
+    """sum_i coeffs[i] k(x, centers[:, i]); coeffs has one entry per center."""
+    centers = linalg.as_matrix(centers)
+    if np.shape(coeffs) != centers.shape[1:]:
+        raise ShapeMismatch(f"coefficients {np.shape(coeffs)} are not one per center "
+                            f"of {centers.shape}")
     return float(sum(coeffs[i] * kernel(x, centers[:, i]) for i in range(centers.shape[1])))

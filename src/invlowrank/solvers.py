@@ -4,22 +4,23 @@ Three routes to an invariant low-rank map W minimizing (1/n)||WX - Y||_F^2
 run one pipeline. Each mode builds a whitened target Zbar and a right
 factor R; its optimum of rank <= r is the best rank-r part of Zbar (its top
 r singular triples; a bound r >= min(d0, dL) keeps them all), times R. With
-P = (X X^T)^(1/2), Z = Y X^T P^-1 and G~ = P^-1 G:
+P = (X X^T)^(1/2), Z = Y X^T P^-1, and the one SVD G~ = P^-1 G = U diag(sigma) V^T,
+let mu hold sigma^2 for G's rank(G) directions and exactly 0 for the
+nullity(G) others (which include U's columns past G's column count). Both
+penalty modes scale the same basis by a diagonal D:
 
-* hard-wired (W G = 0): Zbar = Z (I - A A^+) with A = P^-1 U_m, R = P^-1,
-  where U_m spans col(G) by G's one cached SVD, so col(A) = col(G~);
-* regularized (+ lambda ||W G||_F^2): Zbar = Z V D(lambda), R = D(lambda) V^T P^-1,
-  with G~ G~^T = V diag(mu) V^T (the nullity(G) smallest mu set to exactly 0)
-  and D(lambda) = diag((1 + n lambda mu)^(-1/2)). Only D depends on lambda: it
-  runs from I (reduced-rank regression) to the 0/1 mask of the mu = 0
-  eigenvectors, which span the complement of col(G~), so the penalized
-  optimum tends to the hard-wired one at a distance O(1/lambda);
+* regularized (+ lambda ||W G||_F^2): Zbar = Z U D(lambda), R = D(lambda) U^T P^-1
+  with D(lambda) = diag((1 + n lambda mu)^(-1/2)). Only D depends on lambda: it
+  runs from I (reduced-rank regression) towards the 0/1 mask of the mu = 0
+  directions, which span the complement of col(G~), so the penalized optimum
+  tends to the hard-wired one at a distance O(1/lambda);
+* hard-wired (W G = 0): the same target at D(infinity), that 0/1 mask;
 * data augmentation (risk averaged over the group orbit of X):
   Zbar = |G| Y X^T Gbar^T Q^-1, R = Q^-1, Q = (sum_g rho(g) X X^T rho(g)^T)^(1/2).
 
 A RegressionProblem factors its data once: construction whitens X X^T, and
-G~ G~^T and the orbit Gram matrix Q^2 are factored on first use, so every
-solver call on one problem shares them. A regularization path sample is the
+G~ and the orbit Gram matrix Q^2 are factored on first use, so every solver
+call on one problem shares them. A regularization path sample is the
 regularized solution at its lambda, at the cost of one diagonal scaling and
 one SVD. The critical points of each problem on the rank-r variety select
 every size-r index set of Zbar's singular triples instead of the top r. The
@@ -125,32 +126,31 @@ class RegressionProblem:
                        self.rep.order * self.y @ self.x.T @ group_average(self.rep).T)
 
     @cached_property
-    def _penalty_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu, Z V, V^T P^-1) with G~ G~^T = V diag(mu) V^T; the nullity(G) smallest mu are 0."""
+    def _penalty_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, Z U, U^T P^-1) from the SVD G~ = P^-1 G = U diag(sigma) V^T.
+
+        mu is sigma^2 in G's rank(G) directions and 0 in the d0 - rank(G) others.
+        """
         p_inv, z = self._whitened
-        g_t = p_inv @ self.constraint.entries
-        mu, v = np.linalg.eigh(g_t @ g_t.T)
-        mu[:self.constraint.nullity] = 0.0
-        return mu, z @ v, v.T @ p_inv
+        f = linalg.svd(p_inv @ self.constraint.entries)
+        rank = self.d0 - self.constraint.nullity
+        mu = np.zeros(self.d0)
+        mu[:rank] = f.sigma[:rank] ** 2
+        return mu, z @ f.u, f.u.T @ p_inv
 
     def _target(self, mode: str, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """The whitened target Zbar and right factor R of ``mode`` at penalty ``lam``."""
         if mode == "augmented":
             q_inv, zbar = self._orbit_whitened
             return zbar, q_inv
-        p_inv, z = self._whitened
+        mu, zu, ut_p_inv = self._penalty_basis
         if mode == "constrained":
-            # col(G~) = P^-1 col(G) = P^-1 U_m, where U_m holds G's m = rank(G) leading left
-            # singular vectors, so G's one SVD decides the subspace. pinv cannot drop any of
-            # the m columns: U_m is orthonormal, so cond(P^-1 U_m) <= cond(P) <= 1e6 by the
-            # PD check on X X^T, far inside the rank cutoff (about 2e-10 relative at d0 = 196).
-            u_m = self.constraint.factors.u[:, :self.constraint.dim - self.constraint.nullity]
-            return z @ linalg.left_null_projector(p_inv @ u_m), p_inv
-        if mode == "regularized":
-            mu, zv, vt_p_inv = self._penalty_eigenbasis
+            d = (mu == 0.0).astype(float)  # D(infinity): the 0/1 mask of the mu = 0 directions
+        elif mode == "regularized":
             d = 1.0 / np.sqrt(1.0 + self.n * lam * mu)
-            return zv * d, d[:, None] * vt_p_inv
-        raise InvalidArgument(f"unknown mode {mode!r}")
+        else:
+            raise InvalidArgument(f"unknown mode {mode!r}")
+        return zu * d, d[:, None] * ut_p_inv
 
 
 @dataclass(frozen=True)
@@ -367,11 +367,7 @@ def invariance_decomposition(w: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, 
     as 1 for W = 0).
     """
     w = linalg.as_matrix(w)
-    entries = constraint_entries(g, w.shape[1])
-    if isinstance(g, ConstraintMatrix):
-        w_inv = w @ g.null_projector
-    else:
-        w_inv = w @ linalg.left_null_projector(entries)
+    w_inv = w @ as_constraint(g, w.shape[1]).null_projector
     w_perp = w - w_inv
     total = float(np.linalg.norm(w) ** 2)
     ratio = 1.0 if total == 0.0 else float(np.linalg.norm(w_inv) ** 2) / total
@@ -381,7 +377,7 @@ def invariance_decomposition(w: np.ndarray, g) -> tuple[np.ndarray, np.ndarray, 
 def with_lambda(problem: RegressionProblem, lam: float) -> RegressionProblem:
     """A copy of the problem with a different penalty strength.
 
-    The copy shares the problem's whitening and penalty eigenbasis, which do
+    The copy shares the problem's whitening and penalty basis, which do
     not depend on lambda, so a lambda sweep factors the data once.
     """
     _check_lambda(lam)

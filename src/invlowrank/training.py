@@ -91,6 +91,7 @@ class TrainConfig:
             raise InvalidConfig("adam betas must lie in [0, 1)")
         if not (isinstance(self.epochs, numbers.Integral) and self.epochs >= 1):
             raise InvalidConfig(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        _check_seed(self.seed)
         _check_positive("init_scale", self.init_scale)
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise InvalidConfig(f"lambda must be a finite real >= 0, got {self.lam}")
@@ -99,6 +100,11 @@ class TrainConfig:
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise InvalidConfig(f"{name} must be a finite real > 0, got {value}")
+
+
+def _check_seed(seed: int) -> None:
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidConfig(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,7 @@ class NonlinearNetParams:
 def init_params(dims: Sequence[int], seed: int, init_scale: float = 1.0) -> LinearNetParams:
     """Seeded Gaussian init, std init_scale / sqrt(fan_in) per layer."""
     _check_positive("init_scale", init_scale)
+    _check_seed(seed)
     if len(dims) < 2 or not all(isinstance(d, numbers.Integral) and d >= 1 for d in dims):
         raise InvalidConfig(f"dims must be >= 2 positive integers, got {dims}")
     rng = np.random.default_rng(seed)

@@ -152,6 +152,23 @@ def test_wrong_kind_of_value_raises_typed_error(error, call):
     assert isinstance(excinfo.value, HarnessError)
 
 
+# a training seed that is not an integer >= 0: TrainConfig and init_params share one check
+BAD_SEED_CALLS = {
+    "training.config_seed_negative": lambda: training.TrainConfig(
+        mode="augmented", epochs=1, seed=-1),
+    "training.config_seed_fraction": lambda: training.TrainConfig(
+        mode="hardwired", epochs=1, seed=1.5),
+    "training.init_params_seed_negative": lambda: training.init_params((2, 1), seed=-1),
+    "training.init_params_seed_fraction": lambda: training.init_params((2, 1), seed=1.5),
+}
+
+
+@pytest.mark.parametrize("call", list(BAD_SEED_CALLS.values()), ids=list(BAD_SEED_CALLS))
+def test_bad_training_seed_raises_invalid_config(call):
+    with pytest.raises(InvalidConfig):
+        call()
+
+
 def _hardwired_with_basis(basis):
     x = np.random.default_rng(0).standard_normal((4, 8))
     return training.train(training.TrainConfig(mode="hardwired", epochs=1, seed=0), (2,),
@@ -260,6 +277,15 @@ SHAPE_CALLS = {
         ntk.relu_limiting_ntk, np.ones(3)),
     "ntk.kernel_interpolate_targets": lambda: ntk.kernel_interpolate(
         ntk.KernelMatrix(entries=np.eye(3), jitter=0.0), np.ones(4)),
+    "ntk.kernel_predict_extra_coeffs": lambda: ntk.kernel_predict(
+        ntk.relu_limiting_ntk, np.ones((3, 2)), np.ones(3), np.ones(3)),
+    "ntk.kernel_predict_missing_coeffs": lambda: ntk.kernel_predict(
+        ntk.relu_limiting_ntk, np.ones((3, 2)), np.ones(1), np.ones(3)),
+    "ntk.conv_forward_weights": lambda: ntk.conv_forward(
+        ntk.sample_width_set(3, 8, seed=0), "relu", groups.rotation_2d(4), np.ones(2)),
+    "ntk.conv_empirical_ntk_weights": lambda: ntk.conv_empirical_ntk(
+        ntk.sample_width_set(3, 8, seed=0), "relu", groups.rotation_2d(4), np.ones(2),
+        np.ones(2)),
     "training.nonlinear_forward_rows": lambda: training.nonlinear_forward(
         _nonlinear_net(), np.ones((3, 5))),
     "training.nonlinear_gradient_rows": lambda: training.nonlinear_gradient(

@@ -662,3 +662,63 @@ def test_paper_identities_on_random_orthogonal_reps(seed):
     # the penalized optimum approaches the hard-wired one as 1/lambda
     near, far = (s.lam * s.distance_to_inv for s in regularization_path(prob, [1e4, 1e8]))
     assert abs(far - near) <= 0.1 * near
+
+
+def _column(seed, d0=4):
+    return np.random.default_rng(seed).standard_normal((d0, 1))
+
+
+@pytest.mark.parametrize("g", [
+    _column(1),
+    np.hstack([_column(1), _column(2)]),
+    np.hstack([_column(1), _column(2), _column(3)]),
+    np.hstack([_column(1), _column(1), _column(2)]),
+    np.hstack([_column(4), _column(4)]),
+], ids=["4x1", "4x2", "4x3", "4x3_repeated", "4x2_repeated"])
+def test_narrow_array_constraint_hard_wired_is_the_penalty_limit(g):
+    # G with fewer columns than rows: G~ = P^-1 G has fewer singular values than d0
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 16))
+    prob = RegressionProblem(x=x, y=rng.standard_normal((3, 16)), r=2, constraint=g)
+    w = solve_constrained(prob).w
+    assert np.linalg.norm(w @ g) <= 1e-9 * np.linalg.norm(w) * np.linalg.norm(g)
+    w_reg = solve_regularized(with_lambda(prob, 1e9)).w
+    assert np.linalg.norm(w_reg - w) <= 1e-6 * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("rep", [groups.c4_image_rotation(3), skewed_cycle_rep(6, 3)],
+                         ids=["c4_image_3", "skewed_cycle"])
+def test_path_tail_decays_as_one_over_lambda(rep):
+    # W(lambda) = W_con + W_1 / lambda + O(lambda^-2): lambda ||W(lambda) - W_con|| settles
+    prob = random_problem(seed=21, d0=rep.dim, dl=4, r=2, rep=rep)
+    near, far = (lam * s.distance_to_inv
+                 for lam, s in zip((1e5, 1e6), regularization_path(prob, [1e5, 1e6])))
+    assert near > 0.0
+    assert abs(far - near) <= 1e-3 * near
+
+
+def _ill_conditioned_problem(rep, seed):
+    """cond(X X^T) = 1e11 with Y = W_0 X + 0.1 E for an invariant W_0; n = 4 d0, r = 2."""
+    d0 = rep.dim
+    n = 4 * d0
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((d0, d0)))[0]
+    h = np.linalg.qr(rng.standard_normal((n, d0)))[0]
+    x = q @ np.diag(np.logspace(0.0, -5.5, d0)) @ h.T * np.sqrt(n)
+    w0 = rng.standard_normal((5, d0)) @ groups.invariance_constraint(rep).null_projector
+    y = w0 @ x + 0.1 * rng.standard_normal((5, n))
+    return RegressionProblem(x=x, y=y, r=2, rep=rep)
+
+
+@pytest.mark.parametrize("rep", [groups.cyclic_permutation(7), groups.c4_image_rotation(3),
+                                 groups.c4_image_rotation(5)],
+                         ids=["cyclic_perm_7", "c4_image_3", "c4_image_5"])
+@pytest.mark.parametrize("seed", range(5))
+def test_hard_wired_stays_invariant_on_ill_conditioned_data(rep, seed):
+    prob = _ill_conditioned_problem(rep, seed)
+    g = prob.constraint.entries
+    assert np.linalg.cond(prob.x @ prob.x.T) == pytest.approx(1e11, rel=1e-3)
+    w = solve_constrained(prob).w
+    assert np.linalg.norm(w @ g) <= 1e-9 * np.linalg.norm(w) * np.linalg.norm(g)
+    w_aug = solve_augmented(prob).w
+    assert np.linalg.norm(w - w_aug) <= 1e-8 * np.linalg.norm(w)
