@@ -58,5 +58,5 @@ ACTIVATIONS = {
 def get_activation(name: str):
     try:
         return ACTIVATIONS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise InvalidArgument(f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}")

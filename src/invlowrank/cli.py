@@ -20,6 +20,7 @@ import click
 import numpy as np
 
 from . import tolerances as tol
+from .checks import one_of
 from .config import ExperimentConfig, load_config, resolve_group
 from .datagen import write_dataset
 from .errors import ConfigError, InvalidConfig, NotUnitary, NumericalError
@@ -38,6 +39,7 @@ from .ntk import (
     sample_width_set,
 )
 from .solvers import (
+    MODES as SOLVE_MODES,
     RegressionProblem,
     enumerate_critical_points,
     regularization_path,
@@ -46,8 +48,6 @@ from .solvers import (
     solve_regularized,
 )
 from .training import MODES as TRAIN_MODES, TrainConfig, augment_dataset, train
-
-SOLVE_MODES = ("constrained", "regularized", "augmented")
 
 
 @click.group()
@@ -88,9 +88,7 @@ def command(name: str):
 
 def _mode(cfg: ExperimentConfig, modes: tuple[str, ...]) -> tuple[str, float]:
     """The configured mode, one of ``modes``, and its lambda (0 unless regularized)."""
-    mode = cfg.require("mode")
-    if mode not in modes:
-        raise InvalidConfig(f"mode must be one of {modes}, got {mode!r}")
+    mode = one_of(modes).check(cfg.require("mode"), "mode", InvalidConfig)
     return mode, cfg.require("lambda") if mode == "regularized" else 0.0
 
 

@@ -9,12 +9,12 @@ file path resolved against the config file's directory.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .checks import NONNEGATIVE, POSITIVE, REAL, SEED, Kind, count
 from .errors import InvalidConfig
 from .groups import GroupRep, c4_image_rotation, cyclic_permutation, rep_from_generator, rotation_2d
 from .matio import read_matrix
@@ -22,15 +22,14 @@ from .matio import read_matrix
 
 @dataclass(frozen=True)
 class _Key:
-    """How one config key's value is parsed, and which parsed values are valid."""
+    """How one config key's value is parsed, and the kind of its valid parsed values."""
 
     parse: Callable[[str], object]
-    valid: Callable[[object], bool]
-    expects: str  # the valid values, as the error message states them
+    kind: Kind
 
 
 def _integer(low: int) -> _Key:
-    return _Key(int, lambda v: v >= low, f"an integer >= {low}")
+    return _Key(int, count(low))
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -40,37 +39,36 @@ def _int_list(raw: str) -> tuple[int, ...]:
 def _float_list(raw: str) -> tuple[float, ...]:
     if not raw.startswith("geom:"):
         return tuple(float(p) for p in raw.replace(",", " ").split())
-    start, stop, count = raw[5:].split(":")  # ValueError unless exactly three parts
-    start, stop, count = float(start), float(stop), int(count)
-    if count < 1 or start <= 0 or stop <= start:
+    start, stop, points = raw[5:].split(":")  # ValueError unless exactly three parts
+    start, stop, points = float(start), float(stop), int(points)
+    if points < 1 or start <= 0 or stop <= start:
         raise ValueError(raw)
-    if count == 1:
+    if points == 1:
         return (start,)
-    ratio = (stop / start) ** (1.0 / (count - 1))
-    return tuple(start * ratio ** i for i in range(count))
+    ratio = (stop / start) ** (1.0 / (points - 1))
+    return tuple(start * ratio ** i for i in range(points))
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_TEXT = _Key(str, lambda v: True, "text")
-_NONNEGATIVE = _Key(float, lambda v: math.isfinite(v) and v >= 0, "a finite real >= 0")
-_POSITIVE = _Key(float, lambda v: math.isfinite(v) and v > 0, "a finite real > 0")
+_TEXT = _Key(str, Kind(lambda v: True, "text"))
 
 # Every config key, its parser and its valid range. The lambda grid's
 # positivity and order are checked by regularization_path (InvalidGrid).
 KEYS: dict[str, _Key] = {
     "mode": _TEXT, "group": _TEXT, "loss": _TEXT, "x_file": _TEXT, "y_file": _TEXT,
     "d0": _integer(1), "dL": _integer(1), "n": _integer(1), "epochs": _integer(1),
-    "trials": _integer(1), "r": _integer(0), "seed": _integer(0),
+    "trials": _integer(1), "r": _integer(0), "seed": _Key(int, SEED),
     # the Monte-Carlo bound needs a standard error over at least two units
     "width": _integer(2),
-    "hidden": _Key(_int_list, lambda v: all(h >= 1 for h in v),
-                   "a comma list of integers >= 1"),
-    "lambda": _NONNEGATIVE, "noise_sigma": _NONNEGATIVE,
-    "learning_rate": _POSITIVE, "init_scale": _POSITIVE,
-    "lambda_grid": _Key(_float_list, lambda v: all(math.isfinite(x) for x in v),
-                        "a comma list of finite reals or geom:<start>:<stop>:<count> "
-                        "with 0 < start < stop and count >= 1"),
-    "invariant_wtrue": _Key(lambda raw: _BOOLS[raw.lower()], lambda v: True, "true or false"),
+    "hidden": _Key(_int_list, Kind(lambda v: all(map(count(1).valid, v)),
+                                   "a comma list of integers >= 1")),
+    "lambda": _Key(float, NONNEGATIVE), "noise_sigma": _Key(float, NONNEGATIVE),
+    "learning_rate": _Key(float, POSITIVE), "init_scale": _Key(float, POSITIVE),
+    "lambda_grid": _Key(_float_list, Kind(lambda v: all(map(REAL.valid, v)),
+                                          "a comma list of finite reals or geom:<start>:<stop>:"
+                                          "<count> with 0 < start < stop and count >= 1")),
+    "invariant_wtrue": _Key(lambda raw: _BOOLS[raw.lower()],
+                            Kind(lambda v: True, "true or false")),
 }
 
 
@@ -119,9 +117,9 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
         except (ValueError, KeyError, OverflowError):
             ok = False
         else:
-            ok = spec.valid(value)
+            ok = spec.kind.valid(value)
         if not ok:
-            raise InvalidConfig(f"line {lineno}: key {key} must be {spec.expects}, got {raw!r}")
+            raise InvalidConfig(f"line {lineno}: key {key} must be {spec.kind.phrase}, got {raw!r}")
         setattr(cfg, _attr(key), value)
     return cfg
 
@@ -165,6 +163,6 @@ def _preset_int(preset: str, arg: str) -> int:
         value = int(arg)
     except ValueError as exc:
         raise InvalidConfig(f"group preset argument must be an integer: {preset!r}") from exc
-    if value < 1:
+    if not count(1).valid(value):
         raise InvalidConfig(f"group preset argument must be >= 1: {preset!r}")
     return value

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import NONNEGATIVE
 from .config import ExperimentConfig, resolve_group
 from .errors import InvalidConfig
 from .groups import GroupRep, invariance_constraint
@@ -26,8 +27,7 @@ def generate_dataset(cfg: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.n
     dl = cfg.require("dL")
     n = cfg.require("n")
     noise = cfg.noise_sigma if cfg.noise_sigma is not None else 0.0
-    if noise < 0:
-        raise InvalidConfig("noise_sigma must be >= 0")
+    NONNEGATIVE.check(noise, "noise_sigma", InvalidConfig)
     if n < d0:
         raise InvalidConfig(f"n = {n} must be >= d0 = {d0} for full-row-rank data")
     invariant = cfg.invariant_wtrue if cfg.invariant_wtrue is not None else True

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import linalg
 from . import tolerances as tol
+from .checks import count, real_array
 from .errors import (
     EmptyNullSpace,
     IndexOutOfRange,
@@ -113,14 +114,14 @@ def as_constraint(g: ConstraintMatrix | np.ndarray | None, d0: int | None,
 
 
 def _validate_generator(gen: np.ndarray, order: int) -> np.ndarray:
-    gen = np.asarray(gen, dtype=float)
+    gen = real_array(gen, None, "generator")
     if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
         raise NonSquare(f"generator must be square, got shape {gen.shape}")
-    if order < 1:
-        raise InvalidArgument(f"order must be >= 1, got {order}")
+    count(1).check(order, "order")
     d = gen.shape[0]
-    power = np.linalg.matrix_power(gen, order)
-    if np.linalg.norm(power - np.eye(d)) > tol.REP_VALIDATION * d:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite power fails the test below
+        power = np.linalg.matrix_power(gen, order)
+    if not np.linalg.norm(power - np.eye(d)) <= tol.REP_VALIDATION * d:
         raise NotARepresentation(
             f"generator**{order} differs from the identity beyond {tol.REP_VALIDATION * d:.1e}"
         )
@@ -151,8 +152,7 @@ def c4_image_rotation(p: int) -> GroupRep:
 
     Pixel convention: (row i, col j) -> (j, p-1-i).
     """
-    if p < 1:
-        raise InvalidArgument(f"grid side must be >= 1, got {p}")
+    count(1).check(p, "grid side")
     gen = np.zeros((p * p, p * p))
     i, j = np.divmod(np.arange(p * p), p)
     gen[(p - 1 - i) * p + j, j * p + i] = 1.0
@@ -161,8 +161,7 @@ def c4_image_rotation(p: int) -> GroupRep:
 
 def cyclic_permutation(d: int) -> GroupRep:
     """The full d-cycle permutation rep on R^d (order d)."""
-    if d < 1:
-        raise InvalidArgument(f"dimension must be >= 1, got {d}")
+    count(1).check(d, "dimension")
     gen = np.roll(np.eye(d), 1, axis=0)
     return rep_from_generator(gen, d)
 
@@ -173,8 +172,7 @@ def rotation_2d(k: int) -> GroupRep:
     Note: the rotation group of a regular k-gon is generated by the angle
     2*pi/k; that convention is used here.
     """
-    if k < 1:
-        raise InvalidArgument(f"order must be >= 1, got {k}")
+    count(1).check(k, "order")
     theta = 2.0 * np.pi / k
     c, s = np.cos(theta), np.sin(theta)
     gen = np.array([[c, -s], [s, c]])
@@ -189,8 +187,8 @@ def check_acts_on(rep: GroupRep, x: np.ndarray) -> None:
 
 def element(rep: GroupRep, j: int) -> np.ndarray:
     """rho(g^j); cyclic reps only."""
-    if j < 0 or j >= rep.order:
-        raise IndexOutOfRange(f"element index {j} outside [0, {rep.order})")
+    if not (count(0).valid(j) and j < rep.order):
+        raise IndexOutOfRange(f"element index {j!r} is not an integer in [0, {rep.order})")
     return elements(rep)[j]
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
+from .checks import count, real_array
 from .errors import (InvalidArgument, NoConvergence, NotPositiveDefinite, NotSymmetric,
                      RankOutOfRange, ShapeMismatch)
 
@@ -70,16 +71,13 @@ def _largest_entry_signs(rows: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(m) -> np.ndarray:
-    """m as a float64 array; ShapeMismatch unless it is 2-d."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d matrix, got shape {m.shape}")
-    return m
+    """m as a float64 array by ``real_array``; ShapeMismatch unless it is 2-d."""
+    return real_array(m, 2, "matrix")
 
 
 def check_chain(w, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W, X, Y as float64 matrices; ShapeMismatch unless W X - Y is defined."""
-    w, x, y = (np.asarray(a, dtype=float) for a in (w, x, y))
+    """W, X, Y as float64 matrices by ``real_array``; ShapeMismatch unless W X - Y is defined."""
+    w, x, y = real_array(w, None, "W"), real_array(x, None, "X"), real_array(y, None, "Y")
     if (any(a.ndim != 2 for a in (w, x, y))
             or w.shape[1] != x.shape[0] or w.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]):
         raise ShapeMismatch(f"W {w.shape}, X {x.shape}, Y {y.shape} do not chain")
@@ -89,9 +87,10 @@ def check_chain(w, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def check_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Data X, Y as float64 matrices with a shared sample axis and finite entries.
 
-    Raises ShapeMismatch for the shapes and InvalidArgument for a non-finite entry.
+    Raises ShapeMismatch for the shapes and InvalidArgument for an entry that is
+    not a finite real (``real_array``).
     """
-    x, y = (np.asarray(a, dtype=float) for a in (x, y))
+    x, y = real_array(x, None, "X"), real_array(y, None, "Y")
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ShapeMismatch(f"X {x.shape} and Y {y.shape} must share a sample axis")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -139,13 +138,13 @@ def numerical_rank(m: np.ndarray) -> int:
 def best_rank_r(m: np.ndarray, r: int) -> np.ndarray:
     """Closest (Frobenius) matrix of rank <= r: keep the top r singular triples."""
     m = as_matrix(m)
-    if r < 0 or r > min(m.shape):
-        raise RankOutOfRange(f"rank {r} outside [0, {min(m.shape)}]")
+    if not (count(0).valid(r) and r <= min(m.shape)):
+        raise RankOutOfRange(f"rank {r!r} is not an integer in [0, {min(m.shape)}]")
     return svd(m).select(slice(0, r))
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    m = real_array(m, None, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.linalg.norm(m)))
@@ -194,6 +193,6 @@ def left_null_projector(g: np.ndarray, f: SvdFactors | None = None) -> np.ndarra
 
     Any W satisfies (W @ Pi) @ G = 0; Pi is symmetric and idempotent. ``f`` is G's SVD if given.
     """
-    g = np.asarray(g, dtype=float)
+    g = as_matrix(g)
     proj = np.eye(g.shape[0]) - g @ pinv(g, f)
     return (proj + proj.T) / 2.0

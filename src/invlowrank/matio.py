@@ -12,7 +12,8 @@ import warnings
 
 import numpy as np
 
-from .errors import MatrixFormatError
+from .checks import real_array
+from .errors import ConfigError, MatrixFormatError
 
 
 FLOAT_FORMAT = "%.17g"
@@ -23,9 +24,10 @@ def format_float(v: float) -> str:
 
 
 def write_matrix(path: str | os.PathLike, m: np.ndarray) -> None:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise MatrixFormatError(f"expected a 2-d array, got ndim {m.ndim}")
+    try:
+        m = real_array(m, 2, "matrix")
+    except ConfigError as exc:
+        raise MatrixFormatError(str(exc)) from exc
     if not np.all(np.isfinite(m)):
         raise MatrixFormatError("matrix entries must be finite")
     rows, cols = m.shape

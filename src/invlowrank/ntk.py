@@ -16,6 +16,7 @@ import numpy as np
 from . import linalg
 from . import tolerances as tol
 from .activations import get_activation
+from .checks import NONNEGATIVE, SEED, count, real_array
 from .errors import (DimensionMismatch, InvalidArgument, NotUnitary, ShapeMismatch, SingularKernel,
                      ZeroVector)
 from .groups import GroupRep, check_acts_on, elements, is_unitary
@@ -50,6 +51,9 @@ class KernelMatrix:
 
 def sample_width_set(dim: int, width: int, seed: int) -> WidthSampleSet:
     """a_d ~ N(0,1), w_d ~ N(0, I_dim), drawn from one seeded generator."""
+    count(1).check(dim, "dim")
+    count(1).check(width, "width")
+    SEED.check(seed, "seed")
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal((width, dim))
     out_scales = rng.standard_normal(width)
@@ -74,8 +78,7 @@ def orbit_symmetrize(samples: WidthSampleSet, rep: GroupRep) -> WidthSampleSet:
 def _input_pair(x: np.ndarray, xp: np.ndarray, dim: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """x and x' as float vectors of one length (``dim`` when given); DimensionMismatch otherwise."""
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
+    x, xp = real_array(x, None, "x"), real_array(xp, None, "x'")
     if x.ndim != 1 or x.shape != xp.shape or dim not in (None, x.shape[0]):
         length = "one length" if dim is None else f"length {dim}"
         raise DimensionMismatch(f"inputs {x.shape}, {xp.shape} are not vectors of {length}")
@@ -168,8 +171,8 @@ def conv_empirical_ntk(samples: WidthSampleSet, activation: str, rep: GroupRep,
         grad = act_prime(pre) @ orbit / len(mats)         # d1 x d0
         return s, grad
 
-    s_x, g_x = pooled(np.asarray(x, dtype=float))
-    s_y, g_y = pooled(np.asarray(xp, dtype=float))
+    s_x, g_x = pooled(real_array(x, None, "x"))
+    s_y, g_y = pooled(real_array(xp, None, "x'"))
     act_term = s_x * s_y
     grad_term = samples.out_scales ** 2 * np.sum(g_x * g_y, axis=1)
     return float(np.mean(act_term + grad_term))
@@ -179,7 +182,9 @@ def build_kernel_matrix(kernel: Callable[[np.ndarray, np.ndarray], float],
                         points: np.ndarray, jitter: float | None = None) -> KernelMatrix:
     """Gram matrix over the columns of ``points``; default jitter KERNEL_JITTER_REL trace/n."""
     points = linalg.as_matrix(points)
-    n = points.shape[1]
+    n = count(1).check(points.shape[1], "the point count")
+    if jitter is not None:
+        NONNEGATIVE.check(jitter, "jitter")
     k = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
@@ -192,7 +197,7 @@ def build_kernel_matrix(kernel: Callable[[np.ndarray, np.ndarray], float],
 
 def kernel_interpolate(k: KernelMatrix, y: np.ndarray) -> np.ndarray:
     """Solve (K + jitter I) alpha = y, verifying the residual; y has one entry per point."""
-    y = np.asarray(y, dtype=float)
+    y = real_array(y, None, "targets")
     if y.shape[:1] != k.entries.shape[:1]:
         raise ShapeMismatch(f"targets {y.shape} lack one entry per kernel point "
                             f"({k.entries.shape[0]})")
@@ -203,7 +208,7 @@ def kernel_interpolate(k: KernelMatrix, y: np.ndarray) -> np.ndarray:
         raise SingularKernel(f"kernel solve failed: {exc}") from exc
     residual = float(np.linalg.norm(system @ alpha - y))
     bound = tol.KERNEL_RESIDUAL * max(float(np.linalg.norm(y)), 1e-300)
-    if residual > bound:
+    if not residual <= bound:  # a NaN residual fails too
         raise SingularKernel(f"solve residual {residual:.3e} exceeds {bound:.3e}")
     return alpha
 
@@ -211,8 +216,8 @@ def kernel_interpolate(k: KernelMatrix, y: np.ndarray) -> np.ndarray:
 def kernel_predict(kernel: Callable[[np.ndarray, np.ndarray], float],
                    centers: np.ndarray, coeffs: np.ndarray, x: np.ndarray) -> float:
     """sum_i coeffs[i] k(x, centers[:, i]); coeffs has one entry per center."""
-    centers = linalg.as_matrix(centers)
-    if np.shape(coeffs) != centers.shape[1:]:
-        raise ShapeMismatch(f"coefficients {np.shape(coeffs)} are not one per center "
+    centers, coeffs = linalg.as_matrix(centers), real_array(coeffs, None, "coefficients")
+    if coeffs.shape != centers.shape[1:]:
+        raise ShapeMismatch(f"coefficients {coeffs.shape} are not one per center "
                             f"of {centers.shape}")
     return float(sum(coeffs[i] * kernel(x, centers[:, i]) for i in range(centers.shape[1])))

@@ -33,7 +33,6 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,6 +40,7 @@ import numpy as np
 
 from . import linalg
 from . import tolerances as tol
+from .checks import NONNEGATIVE, POSITIVE, count, one_of
 from .errors import (
     DegenerateSpectrum,
     InvalidArgument,
@@ -57,6 +57,7 @@ WARN_RANK_ASSUMPTION = "RankAssumptionViolated"
 WARN_NON_UNIQUE = "NonUniqueOptimum"
 FLAG_FILLING = "Filling"
 FLAG_NON_FILLING = "NonFilling"
+MODES = ("constrained", "regularized", "augmented")
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,8 @@ class RegressionProblem:
 
     def __post_init__(self):
         x, y = linalg.check_samples(self.x, self.y)
-        if not (isinstance(self.r, numbers.Integral) and self.r >= 0):
-            raise InvalidArgument(f"rank bound must be an integer >= 0, got {self.r!r}")
-        _check_lambda(self.lam)
+        count(0).check(self.r, "rank bound")
+        NONNEGATIVE.check(self.lam, "lambda")
         if self.rep is not None:
             check_acts_on(self.rep, x)
         constraint = as_constraint(self.constraint, x.shape[0], self.rep)
@@ -140,16 +140,15 @@ class RegressionProblem:
 
     def _target(self, mode: str, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """The whitened target Zbar and right factor R of ``mode`` at penalty ``lam``."""
+        one_of(MODES).check(mode, "mode")
         if mode == "augmented":
             q_inv, zbar = self._orbit_whitened
             return zbar, q_inv
         mu, zu, ut_p_inv = self._penalty_basis
         if mode == "constrained":
             d = (mu == 0.0).astype(float)  # D(infinity): the 0/1 mask of the mu = 0 directions
-        elif mode == "regularized":
-            d = 1.0 / np.sqrt(1.0 + self.n * lam * mu)
         else:
-            raise InvalidArgument(f"unknown mode {mode!r}")
+            d = 1.0 / np.sqrt(1.0 + self.n * lam * mu)
         return zu * d, d[:, None] * ut_p_inv
 
 
@@ -193,11 +192,6 @@ class PathSample(RankBoundedSolution):
 
     lam: float
     distance_to_inv: float
-
-
-def _check_lambda(lam: float) -> None:
-    if not (math.isfinite(lam) and lam >= 0):
-        raise InvalidArgument(f"lambda must be a finite real >= 0, got {lam}")
 
 
 def _whiten(gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +276,8 @@ def regularization_path(problem: RegressionProblem, lambdas) -> list[PathSample]
         raise InvalidGrid(f"lambda grid must be an iterable of reals, got {lambdas!r}") from exc
     if not lams:
         raise InvalidGrid("lambda grid is empty")
-    if not all(math.isfinite(v) and v > 0 for v in lams):
-        raise InvalidGrid("lambda grid entries must be finite reals > 0")
+    if not all(map(POSITIVE.valid, lams)):
+        raise InvalidGrid(f"lambda grid entries must each be {POSITIVE.phrase}")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise InvalidGrid("lambda grid must be strictly increasing")
     w_inv = _solve(problem, "constrained", 0.0).w
@@ -311,9 +305,9 @@ def enumerate_critical_points(problem: RegressionProblem, mode: str) -> list[Cri
         raise DegenerateSpectrum(
             f"rank bound {r} exceeds the whitened target rank {k}; critical set degenerates"
         )
-    count = math.comb(k, r)
-    if count > tol.MAX_SUBSETS:
-        raise TooManySubsets(f"binom({k}, {r}) = {count} exceeds the {tol.MAX_SUBSETS} guard")
+    n_subsets = math.comb(k, r)
+    if n_subsets > tol.MAX_SUBSETS:
+        raise TooManySubsets(f"binom({k}, {r}) = {n_subsets} exceeds the {tol.MAX_SUBSETS} guard")
     for i in range(k - 1):
         if f.tied(i):
             raise DegenerateSpectrum(
@@ -380,7 +374,7 @@ def with_lambda(problem: RegressionProblem, lam: float) -> RegressionProblem:
     The copy shares the problem's whitening and penalty basis, which do
     not depend on lambda, so a lambda sweep factors the data once.
     """
-    _check_lambda(lam)
+    NONNEGATIVE.check(lam, "lambda")
     other = copy.copy(problem)
     object.__setattr__(other, "lam", lam)
     return other

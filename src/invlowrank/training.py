@@ -27,7 +27,6 @@ metric.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -37,6 +36,7 @@ import numpy as np
 from . import linalg
 from . import tolerances as tol
 from .activations import get_activation
+from .checks import NONNEGATIVE, POSITIVE, SEED, Kind, count, one_of, real_array
 from .errors import (
     DivergenceDetected,
     InvalidArgument,
@@ -51,6 +51,8 @@ from .solvers import empirical_risk, invariance_decomposition, penalty_entries
 
 MODES = ("augmented", "hardwired", "regularized")
 LOSSES = ("mse", "cross_entropy")
+_LOSS = one_of(LOSSES)
+_BETA = Kind(lambda v: NONNEGATIVE.valid(v) and v < 1, "a real in [0, 1)")
 
 
 @dataclass
@@ -80,31 +82,23 @@ class TrainConfig:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.loss not in LOSSES:
-            raise InvalidConfig(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        _check_positive("learning_rate", self.learning_rate)
-        _check_positive("adam_eps", self.adam_eps)
-        b1, b2 = self.adam_betas
-        if not (0 <= b1 < 1 and 0 <= b2 < 1):
-            raise InvalidConfig("adam betas must lie in [0, 1)")
-        if not (isinstance(self.epochs, numbers.Integral) and self.epochs >= 1):
-            raise InvalidConfig(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        _check_seed(self.seed)
-        _check_positive("init_scale", self.init_scale)
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise InvalidConfig(f"lambda must be a finite real >= 0, got {self.lam}")
+        one_of(MODES).check(self.mode, "mode", InvalidConfig)
+        _LOSS.check(self.loss, "loss", InvalidConfig)
+        for name in ("learning_rate", "adam_eps", "init_scale"):
+            POSITIVE.check(getattr(self, name), name, InvalidConfig)
+        betas = self.adam_betas
+        if not (isinstance(betas, Sequence) and len(betas) == 2 and all(map(_BETA.valid, betas))):
+            raise InvalidConfig(f"adam_betas must be two reals in [0, 1), got {betas!r}")
+        count(1).check(self.epochs, "epochs", InvalidConfig)
+        SEED.check(self.seed, "seed", InvalidConfig)
+        NONNEGATIVE.check(self.lam, "lambda", InvalidConfig)
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidConfig(f"{name} must be a finite real > 0, got {value}")
-
-
-def _check_seed(seed: int) -> None:
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise InvalidConfig(f"seed must be an integer >= 0, got {seed!r}")
+def _layer_widths(dims: Sequence[int]) -> tuple[int, ...]:
+    """dims as a tuple; InvalidConfig unless it is a sequence of integers >= 1."""
+    if not (isinstance(dims, (Sequence, np.ndarray)) and all(map(count(1).valid, dims))):
+        raise InvalidConfig(f"layer widths must be a sequence of integers >= 1, got {dims!r}")
+    return tuple(dims)
 
 
 @dataclass(frozen=True)
@@ -140,10 +134,10 @@ class NonlinearNetParams:
 
 def init_params(dims: Sequence[int], seed: int, init_scale: float = 1.0) -> LinearNetParams:
     """Seeded Gaussian init, std init_scale / sqrt(fan_in) per layer."""
-    _check_positive("init_scale", init_scale)
-    _check_seed(seed)
-    if len(dims) < 2 or not all(isinstance(d, numbers.Integral) and d >= 1 for d in dims):
-        raise InvalidConfig(f"dims must be >= 2 positive integers, got {dims}")
+    POSITIVE.check(init_scale, "init_scale", InvalidConfig)
+    SEED.check(seed, "seed", InvalidConfig)
+    if len(_layer_widths(dims)) < 2:
+        raise InvalidConfig(f"dims must hold >= 2 layer widths, got {dims!r}")
     rng = np.random.default_rng(seed)
     weights = []
     for fan_in, fan_out in zip(dims, dims[1:]):
@@ -198,8 +192,7 @@ def gradient(params: LinearNetParams, x: np.ndarray, y: np.ndarray,
     replaces the residual by softmax(W X) - Y over n. The penalty adds
     2 lambda W G G^T. Layer j receives W_{L:j+1}^T (dF/dW) W_{j-1:1}^T.
     """
-    if loss not in LOSSES:
-        raise InvalidArgument(f"unknown loss {loss!r}")
+    _LOSS.check(loss, "loss")
     w_end, x, y = linalg.check_chain(end_to_end(params), x, y)
     entries = penalty_entries(lam, g, w_end.shape[1])
     n = x.shape[1]
@@ -297,9 +290,7 @@ def mse_surrogate(blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int | None
         columns += x.shape[1]
     if r is None:
         raise InvalidArgument("mse_surrogate needs at least one block")
-    n = columns if n is None else n
-    if n < 1:
-        raise InvalidArgument(f"the sample count must be >= 1, got {n}")
+    n = count(1).check(columns if n is None else n, "the sample count")
     scale = math.sqrt(r.shape[0] / n)
     return scale * r[:, :d0].T, scale * r[:, d0:].T
 
@@ -307,12 +298,12 @@ def mse_surrogate(blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int | None
 def hardwired_forward(params: LinearNetParams, basis: np.ndarray,
                       x: np.ndarray) -> np.ndarray:
     """Apply the invariant basis, then the linear net: W_L ... W_1 B x."""
-    basis = np.asarray(basis, dtype=float)
+    basis = real_array(basis, 2, "basis")
     if params.weights[0].shape[1] != basis.shape[0]:
         raise ShapeMismatch(
             f"first layer expects {params.weights[0].shape[1]} inputs, basis has {basis.shape[0]} rows"
         )
-    if basis.ndim != 2 or basis.shape[1:] != np.shape(x)[:1]:
+    if basis.shape[1:] != np.shape(x)[:1]:
         raise ShapeMismatch(f"basis {basis.shape} does not act on X {np.shape(x)}")
     return end_to_end(params) @ (basis @ x)
 
@@ -378,6 +369,7 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     w_perp_frob and invariance_ratio columns.
     """
     x, y = linalg.check_samples(x, y)
+    hidden_dims = _layer_widths(hidden_dims)
     if x.shape[1] == 0:
         raise InvalidArgument("training needs at least one sample")
     if rep is not None:
@@ -396,8 +388,8 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
         x0, y0 = mse_surrogate([(x, y)]) if config.loss == "mse" else (x, y)
         blocks = ((mat @ x0, y0) for mat in elements(rep))
     elif config.mode == "hardwired":
-        basis = invariant_basis(constraint) if basis is None else np.asarray(basis, dtype=float)
-        if basis.ndim != 2 or basis.shape[1] != x.shape[0]:
+        basis = invariant_basis(constraint) if basis is None else real_array(basis, 2, "basis")
+        if basis.shape[1] != x.shape[0]:
             raise ShapeMismatch(f"basis {basis.shape} does not act on d0 = {x.shape[0]} inputs")
         x_metric = basis @ x
         blocks = [(x_metric, y)]

@@ -1,0 +1,145 @@
+"""The argument contract as one table, and the one module that owns its rules."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from invlowrank import datagen, groups, linalg, matio, ntk, solvers, training
+from invlowrank.config import parse_config_text
+from invlowrank.errors import (HarnessError, IndexOutOfRange, InvalidArgument, InvalidConfig,
+                               MatrixFormatError, NotARepresentation, RankOutOfRange,
+                               ShapeMismatch, SingularKernel)
+
+from helpers import embedded_cycle_rep
+
+COMPLEX = np.array([[1.0 + 1.0j, 0.0], [0.0, 1.0]])
+OVERFLOWING = np.array([[1e200, -1e200], [1e200, -1e200]])
+
+
+def _data():
+    x = np.random.default_rng(0).standard_normal((4, 12))
+    return x, x[:2].copy()
+
+
+def _problem(**kwargs):
+    x, y = _data()
+    return solvers.RegressionProblem(**{"x": x, "y": y, "r": 1, "rep": embedded_cycle_rep(4, 2),
+                                        **kwargs})
+
+
+def _train_config(**kwargs):
+    return training.TrainConfig(mode="augmented", epochs=1, seed=0, **kwargs)
+
+
+def _noise_config(noise):
+    cfg = parse_config_text("group = c4_image:2\ndL = 2\nn = 8\n")
+    cfg.noise_sigma = noise
+    return cfg
+
+
+# (entry point, malformed value) -> (the error its contract names, the call); only add rows
+CONTRACT = {
+    "linalg.as_matrix_complex": (InvalidArgument, lambda: linalg.as_matrix(COMPLEX)),
+    "linalg.svd_complex": (InvalidArgument, lambda: linalg.svd(COMPLEX)),
+    "solvers.problem_x_complex": (InvalidArgument, lambda: _problem(x=_data()[0] * (1 + 1j))),
+    "ntk.relu_limiting_ntk_complex": (InvalidArgument, lambda: ntk.relu_limiting_ntk(
+        np.ones(3) * 1j, np.ones(3))),
+    "linalg.svd_text": (InvalidArgument, lambda: linalg.svd([["a", "b"]])),
+    "linalg.svd_ragged": (InvalidArgument, lambda: linalg.svd([[1, 2], [3]])),
+    "ntk.sample_width_set_seed_negative": (InvalidArgument, lambda: ntk.sample_width_set(
+        3, 8, -1)),
+    "ntk.sample_width_set_width_negative": (InvalidArgument, lambda: ntk.sample_width_set(
+        3, -1, 0)),
+    "ntk.sample_width_set_width_fraction": (InvalidArgument, lambda: ntk.sample_width_set(
+        3, 1.5, 0)),
+    "ntk.sample_width_set_dim_zero": (InvalidArgument, lambda: ntk.sample_width_set(0, 8, 0)),
+    "groups.rep_from_generator_order_fraction": (InvalidArgument, lambda: (
+        groups.rep_from_generator(np.eye(2), 1.5))),
+    "groups.c4_image_rotation_fraction": (InvalidArgument, lambda: groups.c4_image_rotation(1.5)),
+    "groups.cyclic_permutation_fraction": (InvalidArgument, lambda: (
+        groups.cyclic_permutation(1.5))),
+    "groups.rotation_2d_fraction": (InvalidArgument, lambda: groups.rotation_2d(1.5)),
+    "groups.element_fraction": (IndexOutOfRange, lambda: groups.element(
+        groups.rotation_2d(4), 1.5)),
+    "linalg.best_rank_r_fraction": (RankOutOfRange, lambda: linalg.best_rank_r(np.eye(3), 1.5)),
+    "training.mse_surrogate_fraction": (InvalidArgument, lambda: training.mse_surrogate(
+        [(np.ones((2, 3)), np.ones((1, 3)))], 1.5)),
+    "training.init_params_dims_scalar": (InvalidConfig, lambda: training.init_params(3, 0)),
+    "training.train_hidden_scalar": (InvalidConfig, lambda: training.train(
+        _train_config(), 3, *_data(), rep=embedded_cycle_rep(4, 2))),
+    "ntk.build_kernel_matrix_no_points": (InvalidArgument, lambda: ntk.build_kernel_matrix(
+        ntk.relu_limiting_ntk, np.ones((3, 0)))),
+    "solvers.problem_lambda_array": (InvalidArgument, lambda: _problem(
+        lam=np.array([1.0, 2.0]))),
+    "training.learning_rate_text": (InvalidConfig, lambda: _train_config(learning_rate="a")),
+    "training.adam_betas_scalar": (InvalidConfig, lambda: _train_config(adam_betas=0.9)),
+    "training.adam_betas_text": (InvalidConfig, lambda: _train_config(adam_betas=(0.9, "a"))),
+    "linalg.left_null_projector_scalar": (ShapeMismatch, lambda: linalg.left_null_projector(
+        np.float64(1.0))),
+    "groups.rep_from_generator_nan": (NotARepresentation, lambda: groups.rep_from_generator(
+        np.full((2, 2), np.nan), 2)),
+    "groups.rep_from_generator_overflow": (NotARepresentation, lambda: (
+        groups.rep_from_generator(OVERFLOWING, 2))),
+    "ntk.kernel_interpolate_nan_jitter": (SingularKernel, lambda: ntk.kernel_interpolate(
+        ntk.KernelMatrix(entries=np.eye(3), jitter=np.nan), np.ones(3))),
+    "ntk.kernel_interpolate_nan_entries": (SingularKernel, lambda: ntk.kernel_interpolate(
+        ntk.KernelMatrix(entries=np.full((3, 3), np.nan), jitter=0.0), np.ones(3))),
+    "matio.write_matrix_complex": (MatrixFormatError, lambda: matio.write_matrix(
+        "W.mat", COMPLEX)),
+    "ntk.build_kernel_matrix_nan_jitter": (InvalidArgument, lambda: ntk.build_kernel_matrix(
+        ntk.relu_limiting_ntk, np.eye(3), jitter=np.nan)),
+    "ntk.build_kernel_matrix_negative_jitter": (InvalidArgument, lambda: (
+        ntk.build_kernel_matrix(ntk.relu_limiting_ntk, np.eye(3), jitter=-1.0))),
+    "datagen.noise_sigma_nan": (InvalidConfig, lambda: datagen.generate_dataset(
+        _noise_config(np.nan), 0)),
+    "ntk.kernel_predict_complex_coeffs": (InvalidArgument, lambda: ntk.kernel_predict(
+        ntk.relu_limiting_ntk, np.ones((3, 2)), np.ones(2) * 1j, np.ones(3))),
+    "activations.unhashable_name": (InvalidArgument, lambda: ntk.empirical_ntk(
+        ntk.sample_width_set(3, 8, 0), ["relu"], np.ones(3), np.ones(3))),
+}
+
+
+@pytest.mark.parametrize("error, call", list(CONTRACT.values()), ids=list(CONTRACT))
+def test_malformed_argument_raises_its_contract_error(tmp_path, monkeypatch, error, call):
+    monkeypatch.chdir(tmp_path)  # a row that writes a file writes it here
+    with pytest.raises(HarnessError) as excinfo:
+        call()
+    assert isinstance(excinfo.value, error)
+
+
+@pytest.mark.parametrize("noise", [np.nan, np.inf, -1.0])
+def test_noise_sigma_error_names_the_key(noise):
+    with pytest.raises(InvalidConfig, match="noise_sigma must be a finite real >= 0"):
+        datagen.generate_dataset(_noise_config(noise), 0)
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "invlowrank"
+
+
+def _rule_restatements(tree: ast.AST) -> list[str]:
+    """Uses of numbers.Integral, math.isfinite and np.asarray(..., dtype=...) in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) in {("numbers", "Integral"), ("math", "isfinite")}:
+                found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numbers", "math"):
+            found += [f"line {node.lineno}: from {node.module} import {alias.name}"
+                      for alias in node.names if alias.name in ("Integral", "isfinite")]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "asarray"
+              and (len(node.args) > 1 or any(kw.arg == "dtype" for kw in node.keywords))):
+            found.append(f"line {node.lineno}: asarray with a dtype")
+    return found
+
+
+def test_only_checks_states_argument_rules():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "checks.py" in modules
+    offenders = {path.name: _rule_restatements(ast.parse(path.read_text()))
+                 for path in modules if path.name != "checks.py"}
+    assert {name: found for name, found in offenders.items() if found} == {}
+    # the scan sees what it forbids
+    assert _rule_restatements(ast.parse((PACKAGE / "checks.py").read_text()))

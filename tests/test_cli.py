@@ -553,3 +553,13 @@ def test_compare_tolerance_out_of_range_exit_1(tmp_path, capsys, value):
     code, _, err = run_cli(["compare", str(tmp_path / "a.mat"), str(tmp_path / "b.mat"),
                             "--tol", value], capsys)
     assert_config_error(code, err, "--tol")
+
+
+def test_overflowing_custom_generator_exit_1(tmp_path, capsys):
+    # generator**2 overflows to non-finite entries: one error line, no numpy warning
+    (tmp_path / "gen.mat").write_text("2 2\n1e200 -1e200\n1e200 -1e200\n")
+    conf = write_config(tmp_path / "exp.conf", group="custom:gen.mat+2", dL=2, n=4, seed=0, r=1,
+                        mode="constrained")
+    code, _, err = run_cli(["solve", "--config", conf, "--out", str(tmp_path)], capsys)
+    assert_config_error(code, err, "generator**2")
+    assert len(err.splitlines()) == 1, err
