@@ -19,25 +19,13 @@ from typing import Iterable
 import click
 import numpy as np
 
-from . import tolerances as tol
 from .checks import one_of
 from .config import ExperimentConfig, load_config, resolve_group
 from .datagen import write_dataset
-from .errors import ConfigError, InvalidConfig, NotUnitary, NumericalError
-from .groups import GroupRep, elements, is_unitary
+from .errors import ConfigError, InvalidConfig, NumericalError
+from .groups import GroupRep
 from .matio import format_float, read_matrix, write_matrix
-from .ntk import (
-    build_kernel_matrix,
-    augmented_kernel,
-    conv_empirical_ntk,
-    empirical_ntk,
-    empirical_ntk_terms,
-    kernel_interpolate,
-    kernel_predict,
-    orbit_symmetrize,
-    relu_limiting_ntk,
-    sample_width_set,
-)
+from .ntk import property_suites
 from .solvers import (
     MODES as SOLVE_MODES,
     RegressionProblem,
@@ -47,7 +35,7 @@ from .solvers import (
     solve_constrained,
     solve_regularized,
 )
-from .training import MODES as TRAIN_MODES, TrainConfig, augment_dataset, train
+from .training import MODES as TRAIN_MODES, TrainConfig, train
 
 
 @click.group()
@@ -190,74 +178,17 @@ def train_cmd(cfg: ExperimentConfig, out: Path):
                f"final_accuracy={format_float(last.accuracy)}")
 
 
-def _ntk_suites(rep: GroupRep, width: int, trials: int, seed: int):
-    """The four tangent-kernel property suites; yields (suite, trial, value, tol, ok)."""
-    if not is_unitary(rep):
-        raise NotUnitary("ntk-check requires a unitary group preset")
-    rng = np.random.default_rng(seed)
-    d0 = rep.dim
-    mats = elements(rep)
-
-    def unit(v):
-        return v / np.linalg.norm(v)
-
-    # equivariance of the closed-form kernel under simultaneous rotation
-    for t in range(trials):
-        x, xp = unit(rng.standard_normal(d0)), unit(rng.standard_normal(d0))
-        base = relu_limiting_ntk(x, xp)
-        value = max((abs(relu_limiting_ntk(g @ x, g @ xp) - base) for g in mats[1:]), default=0.0)
-        yield "equivariance", t, value, tol.KERNEL_IDENTITY, value < tol.KERNEL_IDENTITY
-
-    # Monte-Carlo convergence of the finite-width kernel to the closed form
-    samples = sample_width_set(d0, width, seed)
-    for t in range(trials):
-        x, xp = unit(rng.standard_normal(d0)), unit(rng.standard_normal(d0))
-        emp = empirical_ntk(samples, "relu", x, xp)
-        lim = relu_limiting_ntk(x, xp)
-        terms = empirical_ntk_terms(samples, "relu", x, xp)
-        bound = tol.MONTE_CARLO_SE * float(terms.std(ddof=1)) / np.sqrt(terms.size)
-        value = abs(emp - lim)
-        yield "monte_carlo", t, value, bound, value <= bound
-
-    # exact identity: conv kernel == augmented kernel on orbit-closed samples
-    sym = orbit_symmetrize(sample_width_set(d0, 32, seed + 1), rep)
-    for t in range(trials):
-        x, xp = unit(rng.standard_normal(d0)), unit(rng.standard_normal(d0))
-        conv = conv_empirical_ntk(sym, "relu", rep, x, xp)
-        aug = augmented_kernel(lambda a, b: empirical_ntk(sym, "relu", a, b), rep, x, xp)
-        value = abs(conv - aug)
-        yield "orbit_symmetrized", t, value, tol.KERNEL_IDENTITY, value < tol.KERNEL_IDENTITY
-
-    # the limiting-kernel interpolant on augmented data is invariant
-    n = 12
-    pts = rng.standard_normal((d0, n))
-    targets = rng.standard_normal(n)
-    x_aug, y_aug = augment_dataset(pts, targets.reshape(1, -1), rep)
-    km = build_kernel_matrix(relu_limiting_ntk, x_aug)
-    coeffs = kernel_interpolate(km, y_aug.ravel())
-    bound = tol.PREDICTOR_INVARIANCE_REL * float(np.max(np.abs(targets)))
-    for t in range(20):
-        xt = rng.standard_normal(d0)
-        ref = kernel_predict(relu_limiting_ntk, x_aug, coeffs, xt)
-        value = max((abs(kernel_predict(relu_limiting_ntk, x_aug, coeffs, g @ xt) - ref)
-                     for g in mats[1:]), default=0.0)
-        yield "augmented_predictor", t, value, bound, value <= bound
-
-
 @command("ntk-check")
 def ntk_check_cmd(cfg: ExperimentConfig, out: Path):
     """Run the tangent-kernel property suites; write ntk.csv; exit 2 on failure."""
-    rep = resolve_group(cfg)
-    rows = []
-    failed: set[str] = set()
+    rows = property_suites(resolve_group(cfg), cfg.require("width"), cfg.require("trials"),
+                           cfg.require("seed"))
+    _write_csv(out / "ntk.csv", "suite,trial,discrepancy,tolerance,status",
+               (row[:4] + ("pass" if row[4] else "fail",) for row in rows))
     worst: dict[str, float] = {}
-    suites = _ntk_suites(rep, cfg.require("width"), cfg.require("trials"), cfg.require("seed"))
-    for suite, trial, value, bound, ok in suites:
-        rows.append((suite, trial, value, bound, "pass" if ok else "fail"))
+    for suite, _, value, _, _ in rows:
         worst[suite] = max(worst.get(suite, 0.0), value)
-        if not ok:
-            failed.add(suite)
-    _write_csv(out / "ntk.csv", "suite,trial,discrepancy,tolerance,status", rows)
+    failed = {row[0] for row in rows if not row[4]}
     for suite in worst:
         status = "FAIL" if suite in failed else "PASS"
         click.echo(f"ntk suite={suite} max_discrepancy={format_float(worst[suite])} {status}")

@@ -4,6 +4,8 @@ Finite-width empirical kernels of the bias-free two-layer net
 f(x) = (1/sqrt(d1)) sum_d a_d sigma(w_d^T x), the closed-form infinite-width
 ReLU kernel, the orbit-averaged kernel, the group-convolutional finite-width
 kernel, and ridge-free kernel interpolation. Scalar outputs only.
+``property_suites`` runs the four kernel property checks of ``ntk-check``
+on a unitary group representation and returns their rows.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .checks import NONNEGATIVE, SEED, count, real_array
 from .errors import (DimensionMismatch, InvalidArgument, NotUnitary, ShapeMismatch, SingularKernel,
                      ZeroVector)
 from .groups import GroupRep, check_acts_on, elements, is_unitary
+from .training import augment_dataset
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,8 @@ class WidthSampleSet:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", real_array(self.weights, 2, "sample weights"))
+        object.__setattr__(self, "out_scales", real_array(self.out_scales, 1, "output scales"))
         if self.weights.shape[0] != self.out_scales.shape[0]:
             raise DimensionMismatch("one output scale per weight vector required")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.out_scales))):
@@ -139,6 +144,7 @@ def augmented_kernel(kernel: Callable[[np.ndarray, np.ndarray], float],
 def conv_forward(samples: WidthSampleSet, activation: str, rep: GroupRep,
                  x: np.ndarray) -> float:
     """Group-convolutional net (1/sqrt(d1)) sum_d a_d mean_g sigma(w_d^T rho(g) x)."""
+    x = real_array(x, None, "x")
     check_acts_on(rep, samples.weights.T)
     check_acts_on(rep, x)
     act, _ = get_activation(activation)
@@ -221,3 +227,67 @@ def kernel_predict(kernel: Callable[[np.ndarray, np.ndarray], float],
         raise ShapeMismatch(f"coefficients {coeffs.shape} are not one per center "
                             f"of {centers.shape}")
     return float(sum(coeffs[i] * kernel(x, centers[:, i]) for i in range(centers.shape[1])))
+
+
+def _unit_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two standard normal draws of length ``dim``, each scaled to unit norm."""
+    x, xp = rng.standard_normal(dim), rng.standard_normal(dim)
+    return x / np.linalg.norm(x), xp / np.linalg.norm(xp)
+
+
+def _orbit_spread(f: Callable[..., float], mats: list[np.ndarray], *points: np.ndarray) -> float:
+    """max over g != e of |f(rho(g) p, ...) - f(p, ...)|; 0 for the trivial group."""
+    base = f(*points)
+    return max((abs(f(*(g @ p for p in points)) - base) for g in mats[1:]), default=0.0)
+
+
+def property_suites(rep: GroupRep, width: int, trials: int, seed: int
+                    ) -> list[tuple[str, int, float, float, bool]]:
+    """ntk-check's four suites as (suite, trial, discrepancy, tolerance, ok) rows; rep unitary.
+
+    ``trials`` unit-vector pairs each for ``equivariance`` (the closed form is
+    unchanged when both inputs move by one group element), ``monte_carlo``
+    (the ``width``-unit kernel is within MONTE_CARLO_SE standard errors of the
+    closed form) and ``orbit_symmetrized`` (conv kernel = augmented kernel on
+    an orbit-closed 32-unit set); 20 test points for ``augmented_predictor``
+    (the interpolant of 12 points augmented over the group is invariant). One
+    generator seeded by ``seed`` draws every input; the sample sets use seed
+    and seed + 1.
+    """
+    count(1).check(trials, "trials")
+    SEED.check(seed, "seed")
+    if not is_unitary(rep):
+        raise NotUnitary("the kernel property suites require a unitary representation")
+    rng = np.random.default_rng(seed)
+    d0, mats = rep.dim, elements(rep)
+    exact = tol.KERNEL_IDENTITY  # the bound of both exact identities
+    rows = []
+
+    for t in range(trials):
+        value = _orbit_spread(relu_limiting_ntk, mats, *_unit_pair(rng, d0))
+        rows.append(("equivariance", t, value, exact, bool(value < exact)))
+
+    samples = sample_width_set(d0, width, seed)
+    for t in range(trials):
+        x, xp = _unit_pair(rng, d0)
+        value = abs(empirical_ntk(samples, "relu", x, xp) - relu_limiting_ntk(x, xp))
+        terms = empirical_ntk_terms(samples, "relu", x, xp)
+        bound = tol.MONTE_CARLO_SE * float(terms.std(ddof=1)) / np.sqrt(terms.size)
+        rows.append(("monte_carlo", t, value, bound, bool(value <= bound)))
+
+    sym = orbit_symmetrize(sample_width_set(d0, 32, seed + 1), rep)
+    for t in range(trials):
+        x, xp = _unit_pair(rng, d0)
+        value = abs(conv_empirical_ntk(sym, "relu", rep, x, xp)
+                    - augmented_kernel(lambda a, b: empirical_ntk(sym, "relu", a, b), rep, x, xp))
+        rows.append(("orbit_symmetrized", t, value, exact, bool(value < exact)))
+
+    points, targets = rng.standard_normal((d0, 12)), rng.standard_normal(12)
+    x_aug, y_aug = augment_dataset(points, targets.reshape(1, -1), rep)
+    coeffs = kernel_interpolate(build_kernel_matrix(relu_limiting_ntk, x_aug), y_aug.ravel())
+    bound = tol.PREDICTOR_INVARIANCE_REL * float(np.max(np.abs(targets)))
+    for t in range(20):
+        value = _orbit_spread(lambda v: kernel_predict(relu_limiting_ntk, x_aug, coeffs, v),
+                              mats, rng.standard_normal(d0))
+        rows.append(("augmented_predictor", t, value, bound, bool(value <= bound)))
+    return rows

@@ -62,6 +62,7 @@ class LinearNetParams:
     weights: list[np.ndarray]
 
     def __post_init__(self):
+        self.weights = [real_array(w, 2, "layer weights") for w in self.weights]
         for a, b in zip(self.weights, self.weights[1:]):
             if b.shape[1] != a.shape[0]:
                 raise ShapeMismatch(f"layer shapes {a.shape} -> {b.shape} do not chain")
@@ -125,6 +126,8 @@ class NonlinearNetParams:
     activation: str
 
     def __post_init__(self):
+        self.hidden = real_array(self.hidden, 2, "hidden weights")
+        self.out = real_array(self.out, 2, "output weights")
         if self.out.shape[1] != self.hidden.shape[0]:
             raise ShapeMismatch(
                 f"output cols {self.out.shape[1]} != hidden units {self.hidden.shape[0]}"
@@ -251,9 +254,8 @@ def adam_step(params: LinearNetParams, state: AdamState,
 def augment_dataset(x: np.ndarray, y: np.ndarray,
                     rep: GroupRep) -> tuple[np.ndarray, np.ndarray]:
     """Group-element-major stacking [rho(g^0)X | rho(g^1)X | ...], Y repeated."""
+    x, y = linalg.check_samples(x, y)
     check_acts_on(rep, x)
-    if np.shape(x)[1:] != np.shape(y)[1:]:
-        raise ShapeMismatch(f"X {np.shape(x)} and Y {np.shape(y)} must share a sample axis")
     mats = elements(rep)
     x_aug = np.hstack([g @ x for g in mats])
     y_aug = np.hstack([y] * len(mats))
@@ -298,7 +300,7 @@ def mse_surrogate(blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int | None
 def hardwired_forward(params: LinearNetParams, basis: np.ndarray,
                       x: np.ndarray) -> np.ndarray:
     """Apply the invariant basis, then the linear net: W_L ... W_1 B x."""
-    basis = real_array(basis, 2, "basis")
+    basis, x = real_array(basis, 2, "basis"), real_array(x, None, "X")
     if params.weights[0].shape[1] != basis.shape[0]:
         raise ShapeMismatch(
             f"first layer expects {params.weights[0].shape[1]} inputs, basis has {basis.shape[0]} rows"
@@ -439,16 +441,18 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     return TrainLog(records=tuple(records), final_w=w if basis is None else w @ basis)
 
 
-def _check_net_inputs(params: NonlinearNetParams, x: np.ndarray) -> None:
-    """ShapeMismatch unless x has the d0 rows the hidden layer takes."""
-    if np.shape(x)[:1] != params.hidden.shape[1:2]:
-        raise ShapeMismatch(f"input {np.shape(x)} lacks the {params.hidden.shape[1]} rows "
+def _net_inputs(params: NonlinearNetParams, x) -> np.ndarray:
+    """x by ``real_array``; ShapeMismatch unless it has the d0 rows the hidden layer takes."""
+    x = real_array(x, None, "x")
+    if x.shape[:1] != params.hidden.shape[1:2]:
+        raise ShapeMismatch(f"input {x.shape} lacks the {params.hidden.shape[1]} rows "
                             "the hidden layer takes")
+    return x
 
 
 def nonlinear_forward(params: NonlinearNetParams, x: np.ndarray) -> np.ndarray:
     """f(x) = (1/sqrt(d1)) * out @ sigma(hidden @ x)."""
-    _check_net_inputs(params, x)
+    x = _net_inputs(params, x)
     act, _ = get_activation(params.activation)
     d1 = params.hidden.shape[0]
     return params.out @ act(params.hidden @ x) / np.sqrt(d1)
@@ -457,7 +461,7 @@ def nonlinear_forward(params: NonlinearNetParams, x: np.ndarray) -> np.ndarray:
 def nonlinear_gradient(params: NonlinearNetParams, x: np.ndarray,
                        y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of (1/n)||f(X) - Y||_F^2 w.r.t. (hidden, out) weights."""
-    _check_net_inputs(params, x)
+    x, y = _net_inputs(params, x), real_array(y, None, "Y")
     act, act_prime = get_activation(params.activation)
     d1 = params.hidden.shape[0]
     scale = 1.0 / np.sqrt(d1)
@@ -478,6 +482,7 @@ def epsilon_inv(predict: Callable[[np.ndarray], float], x: np.ndarray,
     Zero exactly for invariant predictors; undefined (OrbitMeanZero) when
     the orbit mean is numerically zero.
     """
+    x = real_array(x, None, "x")
     check_acts_on(rep, x)
     values = np.array([float(predict(g @ x)) for g in elements(rep)])
     mean = float(values.mean())

@@ -98,6 +98,37 @@ CONTRACT = {
         ntk.relu_limiting_ntk, np.ones((3, 2)), np.ones(2) * 1j, np.ones(3))),
     "activations.unhashable_name": (InvalidArgument, lambda: ntk.empirical_ntk(
         ntk.sample_width_set(3, 8, 0), ["relu"], np.ones(3), np.ones(3))),
+    "ntk.width_sample_set_weights_vector": (ShapeMismatch, lambda: ntk.WidthSampleSet(
+        weights=np.ones(3), out_scales=np.ones(3), seed=0)),
+    "ntk.width_sample_set_scales_column": (ShapeMismatch, lambda: ntk.WidthSampleSet(
+        weights=np.ones((8, 3)), out_scales=np.ones((8, 1)), seed=0)),
+    "ntk.width_sample_set_complex_weights": (InvalidArgument, lambda: ntk.WidthSampleSet(
+        weights=np.ones((2, 3)) * 1j, out_scales=np.ones(2), seed=0)),
+    "training.linear_net_params_vector_layer": (ShapeMismatch, lambda: (
+        training.LinearNetParams([np.ones((2, 3)), np.ones(2)]))),
+    "training.nonlinear_net_params_vector_out": (ShapeMismatch, lambda: (
+        training.NonlinearNetParams(np.ones((2, 3)), np.ones(2), "relu"))),
+    "training.nonlinear_net_params_complex_hidden": (InvalidArgument, lambda: (
+        training.NonlinearNetParams(np.ones((2, 3)) * 1j, np.ones((1, 2)), "tanh"))),
+    "training.augment_dataset_complex": (InvalidArgument, lambda: training.augment_dataset(
+        np.ones((4, 5)) * 1j, np.ones((2, 5)), embedded_cycle_rep(4, 2))),
+    "training.hardwired_forward_complex": (InvalidArgument, lambda: training.hardwired_forward(
+        training.LinearNetParams([np.ones((1, 2))]), np.ones((2, 4)), np.ones(4) * 1j)),
+    "training.nonlinear_forward_complex": (InvalidArgument, lambda: training.nonlinear_forward(
+        training.NonlinearNetParams(np.ones((2, 3)), np.ones((1, 2)), "tanh"),
+        np.ones(3) * 1j)),
+    "training.nonlinear_gradient_complex": (InvalidArgument, lambda: (
+        training.nonlinear_gradient(
+            training.NonlinearNetParams(np.ones((2, 3)), np.ones((1, 2)), "tanh"),
+            np.ones((3, 4)) * 1j, np.ones((1, 4))))),
+    "training.epsilon_inv_complex": (InvalidArgument, lambda: training.epsilon_inv(
+        lambda v: 1.0, np.ones(4) * 1j, embedded_cycle_rep(4, 2))),
+    "ntk.conv_forward_complex": (InvalidArgument, lambda: ntk.conv_forward(
+        ntk.sample_width_set(4, 8, 0), "relu", embedded_cycle_rep(4, 2), np.ones(4) * 1j)),
+    "ntk.property_suites_trials_zero": (InvalidArgument, lambda: ntk.property_suites(
+        embedded_cycle_rep(4, 2), 8, 0, 0)),
+    "ntk.property_suites_seed_negative": (InvalidArgument, lambda: ntk.property_suites(
+        embedded_cycle_rep(4, 2), 8, 1, -1)),
 }
 
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from invlowrank import groups, ntk
-from invlowrank.errors import DimensionMismatch, NotUnitary, SingularKernel, ZeroVector
+from invlowrank.cli import entry
+from invlowrank.errors import (DimensionMismatch, NotUnitary, ShapeMismatch, SingularKernel,
+                               ZeroVector)
+from invlowrank.matio import format_float
 
 from helpers import embedded_cycle_rep, skewed_cycle_rep
 
@@ -252,3 +255,32 @@ def test_interpolant_on_augmented_data_is_invariant():
         for mat in groups.elements(rep)[1:]:
             value = ntk.kernel_predict(ntk.relu_limiting_ntk, x_aug, coeffs, mat @ xt)
             assert abs(value - ref) < bound
+
+
+def test_width_sample_set_refuses_column_out_scales():
+    # a d1 x 1 column broadcast against the d1 terms gave a d1 x d1 kernel sum
+    samples = ntk.sample_width_set(3, 8, 0)
+    with pytest.raises(ShapeMismatch):
+        ntk.WidthSampleSet(weights=samples.weights, out_scales=samples.out_scales.reshape(-1, 1),
+                           seed=0)
+    rebuilt = ntk.WidthSampleSet(weights=samples.weights, out_scales=samples.out_scales, seed=0)
+    assert rebuilt.weights is samples.weights and rebuilt.out_scales is samples.out_scales
+
+
+def test_property_suites_rows_are_the_cli_csv(tmp_path):
+    conf = tmp_path / "ntk.conf"
+    conf.write_text("group = c4_image:2\nwidth = 256\ntrials = 3\nseed = 1\n")
+    with pytest.raises(SystemExit):
+        entry(["ntk-check", "--config", str(conf), "--out", str(tmp_path)])
+    rows = ntk.property_suites(groups.c4_image_rotation(2), 256, 3, 1)
+    lines = [f"{suite},{trial},{format_float(value)},{format_float(bound)},"
+             f"{'pass' if ok else 'fail'}" for suite, trial, value, bound, ok in rows]
+    assert (tmp_path / "ntk.csv").read_text().splitlines() == [
+        "suite,trial,discrepancy,tolerance,status", *lines]
+    assert len(rows) == 3 * 3 + 20
+
+
+def test_property_suites_require_unitary():
+    rep = groups.rep_from_generator(np.array([[0.0, 2.0], [0.5, 0.0]]), 2)
+    with pytest.raises(NotUnitary):
+        ntk.property_suites(rep, 64, 2, 0)
