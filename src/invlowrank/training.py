@@ -63,6 +63,7 @@ class LinearNetParams:
 
     def __post_init__(self):
         self.weights = [real_array(w, 2, "layer weights") for w in self.weights]
+        count(1).check(len(self.weights), "the number of layers")
         for a, b in zip(self.weights, self.weights[1:]):
             if b.shape[1] != a.shape[0]:
                 raise ShapeMismatch(f"layer shapes {a.shape} -> {b.shape} do not chain")

@@ -129,6 +129,8 @@ CONTRACT = {
         embedded_cycle_rep(4, 2), 8, 0, 0)),
     "ntk.property_suites_seed_negative": (InvalidArgument, lambda: ntk.property_suites(
         embedded_cycle_rep(4, 2), 8, 1, -1)),
+    "training.linear_net_params_no_layers": (InvalidArgument, lambda: (
+        training.LinearNetParams([]))),
 }
 
 

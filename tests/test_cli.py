@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from invlowrank import matio
 from invlowrank import tolerances as tol
 from invlowrank.cli import entry
 from invlowrank.config import load_config, resolve_group
@@ -161,6 +162,23 @@ def test_solve_rerun_byte_identical(tmp_path, capsys):
     first = (tmp_path / "W.mat").read_bytes()
     run_cli(["solve", "--config", conf, "--out", str(tmp_path)], capsys)
     assert (tmp_path / "W.mat").read_bytes() == first
+
+
+def test_solve_cold_and_warm_matrix_cache_byte_identical(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "xdg" / "invlowrank"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    data = tmp_path / "data"
+    conf = write_config(tmp_path / "exp.conf", mode="constrained", **BASE)
+    run_cli(["gen-data", "--config", conf, "--out", str(data)], capsys)
+    runs, parses = [], []
+    for _ in range(2):
+        code, out, _ = run_cli(["solve", "--config", conf, "--out", str(data)], capsys)
+        assert code == 0
+        runs.append((out, (data / "W.mat").read_bytes()))
+        assert len(list(cache.iterdir())) == 2  # X.mat and Y.mat, stored by the cold run
+        monkeypatch.setattr(matio, "_parse", lambda *args: parses.append(args))
+    assert runs[0] == runs[1]
+    assert parses == []
 
 
 def test_csv_hygiene(tmp_path, capsys):
