@@ -6,9 +6,11 @@ matrix G built from blocks I - rho(g_m); one cached SVD of G decides the
 nullity, the invariant basis and the projector. Equivariance is invariance of
 the tensor representation rho_X (x) rho_Y(g^-1)^T acting on vec(W).
 
-Group elements and averages are only enumerated for single-generator
+Group elements, averages and orbits are only enumerated for single-generator
 (cyclic) representations; multi-generator groups are supported through the
-stacked constraint blocks alone.
+stacked constraint blocks alone. ``orbit`` is the one evaluation of points on
+their orbit {rho(g) p}: the augmented data, the orbit-variance metric and the
+augmented and group-convolutional kernels all take their orbits from it.
 """
 
 from __future__ import annotations
@@ -198,6 +200,19 @@ def elements(rep: GroupRep) -> list[np.ndarray]:
     for _ in range(rep.order - 1):
         out.append(rep.generators[0] @ out[-1])
     return out
+
+
+def orbit(rep: GroupRep, *points) -> list[np.ndarray]:
+    """Each point's orbit rho(g^0) p, ..., rho(g^(order-1)) p, stacked along a new first axis.
+
+    Each point is converted by ``real_array`` and checked by ``check_acts_on``;
+    the elements are built once for all points. Cyclic reps only.
+    """
+    points = [real_array(p, None, "point") for p in points]
+    for p in points:
+        check_acts_on(rep, p)
+    mats = elements(rep)
+    return [np.stack([g @ p for g in mats]) for p in points]
 
 
 def group_average(rep: GroupRep) -> np.ndarray:

@@ -76,11 +76,16 @@ def as_matrix(m) -> np.ndarray:
 
 
 def check_chain(w, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W, X, Y as float64 matrices by ``real_array``; ShapeMismatch unless W X - Y is defined."""
+    """W, X, Y as float64 matrices by ``real_array``; ShapeMismatch unless W X - Y is defined.
+
+    InvalidArgument for an X with no columns: a risk over no samples is undefined.
+    """
     w, x, y = real_array(w, None, "W"), real_array(x, None, "X"), real_array(y, None, "Y")
     if (any(a.ndim != 2 for a in (w, x, y))
             or w.shape[1] != x.shape[0] or w.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]):
         raise ShapeMismatch(f"W {w.shape}, X {x.shape}, Y {y.shape} do not chain")
+    if x.shape[1] == 0:
+        raise InvalidArgument("X has no samples")
     return w, x, y
 
 
@@ -98,29 +103,33 @@ def check_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _lapack_svd(m, **options):
+    """numpy's SVD of m (``as_matrix``); NoConvergence for a non-finite entry or a failed solve."""
+    m = as_matrix(m)
+    if not np.all(np.isfinite(m)):
+        raise NoConvergence(f"SVD of a {m.shape} matrix with non-finite entries")
+    try:
+        return np.linalg.svd(m, **options)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD did not converge for shape {m.shape}") from exc
+
+
 def svd(m: np.ndarray) -> SvdFactors:
     """Full SVD with deterministic signs.
 
-    Raises ShapeMismatch unless m is 2-d, and NoConvergence if the underlying
-    iteration fails (ill-conditioned input or an upstream bug); numpy's
-    divide-and-conquer routine converges for all finite inputs in practice.
+    Raises ShapeMismatch unless m is 2-d, and NoConvergence for a non-finite
+    entry or if the underlying iteration fails (ill-conditioned input or an
+    upstream bug); numpy's divide-and-conquer routine converges for all finite
+    inputs in practice.
     """
-    m = as_matrix(m)
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD did not converge for shape {m.shape}") from exc
+    u, s, vt = _lapack_svd(m, full_matrices=True)
     u_signs = _largest_entry_signs(u.T)
     v_signs = np.concatenate([u_signs[:s.size], _largest_entry_signs(vt[s.size:])])
     return SvdFactors(u=u * u_signs, sigma=s, v=(vt * v_signs[:, None]).T.copy())
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    m = as_matrix(m)
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD did not converge for shape {m.shape}") from exc
+    return _lapack_svd(m, compute_uv=False)
 
 
 def _rank(sigma: np.ndarray, shape: tuple[int, int]) -> int:
@@ -144,9 +153,16 @@ def best_rank_r(m: np.ndarray, r: int) -> np.ndarray:
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
+    """m as a square float64 matrix, symmetric within tolerance (NotSymmetric) and finite.
+
+    A non-finite entry raises NotPositiveDefinite: no eigenvalue of it can be trusted.
+    """
     m = real_array(m, None, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NotPositiveDefinite(f"a {m.shape} matrix with non-finite entries is not positive "
+                                  "definite")
     scale = max(1.0, float(np.linalg.norm(m)))
     if np.linalg.norm(m - m.T) > tol.SYMMETRY * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
@@ -159,8 +175,12 @@ def is_positive_definite(w: np.ndarray) -> bool:
 
 
 def _pd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of m; NotPositiveDefinite unless they pass."""
     m = _check_symmetric(m)
-    w, vecs = np.linalg.eigh((m + m.T) / 2.0)
+    try:
+        w, vecs = np.linalg.eigh((m + m.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"eigendecomposition failed: {exc}") from exc
     if not is_positive_definite(w):
         raise NotPositiveDefinite(
             f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}] fails the positive-definite check"

@@ -21,7 +21,7 @@ from .activations import get_activation
 from .checks import NONNEGATIVE, SEED, count, real_array
 from .errors import (DimensionMismatch, InvalidArgument, NotUnitary, ShapeMismatch, SingularKernel,
                      ZeroVector)
-from .groups import GroupRep, check_acts_on, elements, is_unitary
+from .groups import GroupRep, check_acts_on, elements, is_unitary, orbit
 from .training import augment_dataset
 
 
@@ -82,11 +82,16 @@ def orbit_symmetrize(samples: WidthSampleSet, rep: GroupRep) -> WidthSampleSet:
 
 def _input_pair(x: np.ndarray, xp: np.ndarray, dim: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """x and x' as float vectors of one length (``dim`` when given); DimensionMismatch otherwise."""
+    """x and x' as finite float vectors of one length (``dim`` when given).
+
+    DimensionMismatch for another shape, InvalidArgument for a non-finite entry.
+    """
     x, xp = real_array(x, None, "x"), real_array(xp, None, "x'")
     if x.ndim != 1 or x.shape != xp.shape or dim not in (None, x.shape[0]):
         length = "one length" if dim is None else f"length {dim}"
         raise DimensionMismatch(f"inputs {x.shape}, {xp.shape} are not vectors of {length}")
+    if not (np.isfinite(x).all() and np.isfinite(xp).all()):
+        raise InvalidArgument("kernel inputs must be finite")
     return x, xp
 
 
@@ -135,23 +140,23 @@ def empirical_ntk_terms(samples: WidthSampleSet, activation: str,
 
 def augmented_kernel(kernel: Callable[[np.ndarray, np.ndarray], float],
                      rep: GroupRep, x: np.ndarray, xp: np.ndarray) -> float:
-    """Uniform group average E_g k(rho(g) x, x')."""
-    check_acts_on(rep, x)
-    vals = [kernel(g @ x, xp) for g in elements(rep)]
-    return float(np.mean(vals))
+    """Uniform group average E_g k(rho(g) x, x'); x is converted by ``orbit``."""
+    return float(np.mean([kernel(gx, xp) for gx in orbit(rep, x)[0]]))
+
+
+def _conv_orbits(samples: WidthSampleSet, rep: GroupRep, *points: np.ndarray
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per point, its orbit (k x d0) and the pre-activations w_d^T rho(g) p (d1 x k)."""
+    check_acts_on(rep, samples.weights.T)
+    return [(p_orbit, samples.weights @ p_orbit.T) for p_orbit in orbit(rep, *points)]
 
 
 def conv_forward(samples: WidthSampleSet, activation: str, rep: GroupRep,
                  x: np.ndarray) -> float:
     """Group-convolutional net (1/sqrt(d1)) sum_d a_d mean_g sigma(w_d^T rho(g) x)."""
-    x = real_array(x, None, "x")
-    check_acts_on(rep, samples.weights.T)
-    check_acts_on(rep, x)
+    ((_, pre),) = _conv_orbits(samples, rep, x)
     act, _ = get_activation(activation)
-    orbit = np.stack([g @ x for g in elements(rep)])      # k x d0
-    pre = samples.weights @ orbit.T                       # d1 x k
-    pooled = act(pre).mean(axis=1)
-    return float(samples.out_scales @ pooled / np.sqrt(samples.width))
+    return float(samples.out_scales @ act(pre).mean(axis=1) / np.sqrt(samples.width))
 
 
 def conv_empirical_ntk(samples: WidthSampleSet, activation: str, rep: GroupRep,
@@ -164,21 +169,11 @@ def conv_empirical_ntk(samples: WidthSampleSet, activation: str, rep: GroupRep,
     """
     if not is_unitary(rep):
         raise NotUnitary("group-convolutional kernel requires a unitary representation")
-    check_acts_on(rep, samples.weights.T)
-    check_acts_on(rep, x)
-    check_acts_on(rep, xp)
+    orbits = _conv_orbits(samples, rep, x, xp)
     act, act_prime = get_activation(activation)
-    mats = elements(rep)
-
-    def pooled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        orbit = np.stack([g @ v for g in mats])           # k x d0
-        pre = samples.weights @ orbit.T                   # d1 x k
-        s = act(pre).mean(axis=1)                         # d1
-        grad = act_prime(pre) @ orbit / len(mats)         # d1 x d0
-        return s, grad
-
-    s_x, g_x = pooled(real_array(x, None, "x"))
-    s_y, g_y = pooled(real_array(xp, None, "x'"))
+    # per input: the pooled activations (d1) and the orbit-averaged sigma'-weighted input (d1 x d0)
+    (s_x, g_x), (s_y, g_y) = ((act(pre).mean(axis=1), act_prime(pre) @ p_orbit / len(p_orbit))
+                              for p_orbit, pre in orbits)
     act_term = s_x * s_y
     grad_term = samples.out_scales ** 2 * np.sum(g_x * g_y, axis=1)
     return float(np.mean(act_term + grad_term))
@@ -235,10 +230,10 @@ def _unit_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarr
     return x / np.linalg.norm(x), xp / np.linalg.norm(xp)
 
 
-def _orbit_spread(f: Callable[..., float], mats: list[np.ndarray], *points: np.ndarray) -> float:
-    """max over g != e of |f(rho(g) p, ...) - f(p, ...)|; 0 for the trivial group."""
-    base = f(*points)
-    return max((abs(f(*(g @ p for p in points)) - base) for g in mats[1:]), default=0.0)
+def _orbit_spread(f: Callable[..., float], *orbits: np.ndarray) -> float:
+    """max over g != e of |f(rho(g) p, ...) - f(p, ...)|, from the points' orbits; 0 for |G| = 1."""
+    base = f(*(o[0] for o in orbits))
+    return max((abs(f(*moved) - base) for moved in zip(*(o[1:] for o in orbits))), default=0.0)
 
 
 def property_suites(rep: GroupRep, width: int, trials: int, seed: int
@@ -251,33 +246,32 @@ def property_suites(rep: GroupRep, width: int, trials: int, seed: int
     closed form) and ``orbit_symmetrized`` (conv kernel = augmented kernel on
     an orbit-closed 32-unit set); 20 test points for ``augmented_predictor``
     (the interpolant of 12 points augmented over the group is invariant). One
-    generator seeded by ``seed`` draws every input; the sample sets use seed
-    and seed + 1.
+    generator seeded by ``seed`` draws every input, each suite's before that
+    suite runs; the sample sets use seed and seed + 1.
     """
     count(1).check(trials, "trials")
     SEED.check(seed, "seed")
     if not is_unitary(rep):
         raise NotUnitary("the kernel property suites require a unitary representation")
     rng = np.random.default_rng(seed)
-    d0, mats = rep.dim, elements(rep)
+    d0 = rep.dim
     exact = tol.KERNEL_IDENTITY  # the bound of both exact identities
     rows = []
 
-    for t in range(trials):
-        value = _orbit_spread(relu_limiting_ntk, mats, *_unit_pair(rng, d0))
+    orbits = orbit(rep, *(v for _ in range(trials) for v in _unit_pair(rng, d0)))
+    for t, pair in enumerate(zip(orbits[::2], orbits[1::2])):
+        value = _orbit_spread(relu_limiting_ntk, *pair)
         rows.append(("equivariance", t, value, exact, bool(value < exact)))
 
     samples = sample_width_set(d0, width, seed)
-    for t in range(trials):
-        x, xp = _unit_pair(rng, d0)
+    for t, (x, xp) in enumerate([_unit_pair(rng, d0) for _ in range(trials)]):
         value = abs(empirical_ntk(samples, "relu", x, xp) - relu_limiting_ntk(x, xp))
         terms = empirical_ntk_terms(samples, "relu", x, xp)
         bound = tol.MONTE_CARLO_SE * float(terms.std(ddof=1)) / np.sqrt(terms.size)
         rows.append(("monte_carlo", t, value, bound, bool(value <= bound)))
 
     sym = orbit_symmetrize(sample_width_set(d0, 32, seed + 1), rep)
-    for t in range(trials):
-        x, xp = _unit_pair(rng, d0)
+    for t, (x, xp) in enumerate([_unit_pair(rng, d0) for _ in range(trials)]):
         value = abs(conv_empirical_ntk(sym, "relu", rep, x, xp)
                     - augmented_kernel(lambda a, b: empirical_ntk(sym, "relu", a, b), rep, x, xp))
         rows.append(("orbit_symmetrized", t, value, exact, bool(value < exact)))
@@ -286,8 +280,9 @@ def property_suites(rep: GroupRep, width: int, trials: int, seed: int
     x_aug, y_aug = augment_dataset(points, targets.reshape(1, -1), rep)
     coeffs = kernel_interpolate(build_kernel_matrix(relu_limiting_ntk, x_aug), y_aug.ravel())
     bound = tol.PREDICTOR_INVARIANCE_REL * float(np.max(np.abs(targets)))
-    for t in range(20):
+    test_orbits = orbit(rep, *(rng.standard_normal(d0) for _ in range(20)))
+    for t, test_orbit in enumerate(test_orbits):
         value = _orbit_spread(lambda v: kernel_predict(relu_limiting_ntk, x_aug, coeffs, v),
-                              mats, rng.standard_normal(d0))
+                              test_orbit)
         rows.append(("augmented_predictor", t, value, bound, bool(value <= bound)))
     return rows

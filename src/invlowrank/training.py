@@ -46,7 +46,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .groups import (ConstraintMatrix, GroupRep, as_constraint, check_acts_on, elements,
-                     invariant_basis)
+                     invariant_basis, orbit)
 from .solvers import empirical_risk, invariance_decomposition, penalty_entries
 
 MODES = ("augmented", "hardwired", "regularized")
@@ -256,11 +256,8 @@ def augment_dataset(x: np.ndarray, y: np.ndarray,
                     rep: GroupRep) -> tuple[np.ndarray, np.ndarray]:
     """Group-element-major stacking [rho(g^0)X | rho(g^1)X | ...], Y repeated."""
     x, y = linalg.check_samples(x, y)
-    check_acts_on(rep, x)
-    mats = elements(rep)
-    x_aug = np.hstack([g @ x for g in mats])
-    y_aug = np.hstack([y] * len(mats))
-    return x_aug, y_aug
+    (x_orbit,) = orbit(rep, x)
+    return np.hstack(x_orbit), np.hstack([y] * len(x_orbit))
 
 
 def mse_surrogate(blocks: Iterable[tuple[np.ndarray, np.ndarray]], n: int | None = None
@@ -461,8 +458,17 @@ def nonlinear_forward(params: NonlinearNetParams, x: np.ndarray) -> np.ndarray:
 
 def nonlinear_gradient(params: NonlinearNetParams, x: np.ndarray,
                        y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of (1/n)||f(X) - Y||_F^2 w.r.t. (hidden, out) weights."""
-    x, y = _net_inputs(params, x), real_array(y, None, "Y")
+    """Gradients of (1/n)||f(X) - Y||_F^2 w.r.t. (hidden, out) weights.
+
+    X is d0 x n with n >= 1 (InvalidArgument otherwise) and Y has f(X)'s shape
+    dL x n (ShapeMismatch otherwise).
+    """
+    x, y = _net_inputs(params, real_array(x, 2, "X")), real_array(y, None, "Y")
+    if x.shape[1] == 0:
+        raise InvalidArgument("X has no samples")
+    if y.shape != (params.out.shape[0], x.shape[1]):
+        raise ShapeMismatch(f"Y {y.shape} does not have f(X)'s shape "
+                            f"{(params.out.shape[0], x.shape[1])}")
     act, act_prime = get_activation(params.activation)
     d1 = params.hidden.shape[0]
     scale = 1.0 / np.sqrt(d1)
@@ -483,9 +489,7 @@ def epsilon_inv(predict: Callable[[np.ndarray], float], x: np.ndarray,
     Zero exactly for invariant predictors; undefined (OrbitMeanZero) when
     the orbit mean is numerically zero.
     """
-    x = real_array(x, None, "x")
-    check_acts_on(rep, x)
-    values = np.array([float(predict(g @ x)) for g in elements(rep)])
+    values = np.array([float(predict(gx)) for gx in orbit(rep, x)[0]])
     mean = float(values.mean())
     if abs(mean) < tol.ORBIT_MEAN_FLOOR:
         raise OrbitMeanZero(f"orbit mean {mean:.3e} below {tol.ORBIT_MEAN_FLOOR:.0e}")
@@ -494,6 +498,7 @@ def epsilon_inv(predict: Callable[[np.ndarray], float], x: np.ndarray,
 
 def epsilon_inv_median(predict: Callable[[np.ndarray], float], xs: np.ndarray,
                        rep: GroupRep) -> float:
-    """Median of epsilon_inv over the columns of xs."""
+    """Median of epsilon_inv over the columns of xs; xs needs at least one column."""
     xs = linalg.as_matrix(xs)
+    count(1).check(xs.shape[1], "the point count")
     return float(np.median([epsilon_inv(predict, xs[:, i], rep) for i in range(xs.shape[1])]))

@@ -9,13 +9,14 @@ import pytest
 from invlowrank import datagen, groups, linalg, matio, ntk, solvers, training
 from invlowrank.config import parse_config_text
 from invlowrank.errors import (HarnessError, IndexOutOfRange, InvalidArgument, InvalidConfig,
-                               MatrixFormatError, NotARepresentation, RankOutOfRange,
-                               ShapeMismatch, SingularKernel)
+                               MatrixFormatError, NoConvergence, NotARepresentation,
+                               NotPositiveDefinite, RankOutOfRange, ShapeMismatch, SingularKernel)
 
 from helpers import embedded_cycle_rep
 
 COMPLEX = np.array([[1.0 + 1.0j, 0.0], [0.0, 1.0]])
 OVERFLOWING = np.array([[1e200, -1e200], [1e200, -1e200]])
+INFINITE = np.array([[np.inf, 0.0], [0.0, 1.0]])
 
 
 def _data():
@@ -31,6 +32,17 @@ def _problem(**kwargs):
 
 def _train_config(**kwargs):
     return training.TrainConfig(mode="augmented", epochs=1, seed=0, **kwargs)
+
+
+def _no_samples():
+    """W (2 x 3), X (3 x 0) and Y (2 x 0): data with no samples."""
+    return np.ones((2, 3)), np.ones((3, 0)), np.ones((2, 0))
+
+
+def _nonlinear_gradient(x, y):
+    """nonlinear_gradient of a tanh net 3 -> 2 -> 2."""
+    params = training.NonlinearNetParams(np.ones((2, 3)), np.ones((2, 2)), "tanh")
+    return training.nonlinear_gradient(params, x, y)
 
 
 def _noise_config(noise):
@@ -131,6 +143,49 @@ CONTRACT = {
         embedded_cycle_rep(4, 2), 8, 1, -1)),
     "training.linear_net_params_no_layers": (InvalidArgument, lambda: (
         training.LinearNetParams([]))),
+    "linalg.svd_inf": (NoConvergence, lambda: linalg.svd(INFINITE)),
+    "linalg.singular_values_inf": (NoConvergence, lambda: linalg.singular_values(INFINITE)),
+    "linalg.numerical_rank_inf": (NoConvergence, lambda: linalg.numerical_rank(-INFINITE)),
+    "linalg.pinv_inf": (NoConvergence, lambda: linalg.pinv(INFINITE)),
+    "linalg.pd_sqrt_inf": (NotPositiveDefinite, lambda: linalg.pd_sqrt(INFINITE)),
+    "linalg.pd_inv_sqrt_inf": (NotPositiveDefinite, lambda: linalg.pd_inv_sqrt(-INFINITE)),
+    "ntk.relu_limiting_ntk_nan": (InvalidArgument, lambda: ntk.relu_limiting_ntk(
+        np.array([1.0, np.nan]), np.ones(2))),
+    "ntk.relu_limiting_ntk_inf": (InvalidArgument, lambda: ntk.relu_limiting_ntk(
+        np.ones(2), np.array([np.inf, 1.0]))),
+    "ntk.empirical_ntk_terms_inf": (InvalidArgument, lambda: ntk.empirical_ntk_terms(
+        ntk.sample_width_set(2, 8, 0), "relu", np.array([-np.inf, 1.0]), np.ones(2))),
+    "solvers.empirical_risk_no_samples": (InvalidArgument, lambda: solvers.empirical_risk(
+        *_no_samples())),
+    "solvers.augmented_risk_no_samples": (InvalidArgument, lambda: solvers.augmented_risk(
+        *_no_samples(), embedded_cycle_rep(3, 2))),
+    "training.mse_objective_no_samples": (InvalidArgument, lambda: training.mse_objective(
+        *_no_samples())),
+    "training.cross_entropy_objective_no_samples": (InvalidArgument, lambda: (
+        training.cross_entropy_objective(*_no_samples()))),
+    "training.gradient_no_samples": (InvalidArgument, lambda: training.gradient(
+        training.LinearNetParams([np.ones((2, 3))]), *_no_samples()[1:])),
+    "training.gradient_cross_entropy_no_samples": (InvalidArgument, lambda: training.gradient(
+        training.LinearNetParams([np.ones((2, 3))]), *_no_samples()[1:],
+        loss="cross_entropy")),
+    "training.nonlinear_gradient_no_samples": (InvalidArgument, lambda: _nonlinear_gradient(
+        np.ones((3, 0)), np.ones((2, 0)))),
+    "training.nonlinear_gradient_y_column": (ShapeMismatch, lambda: _nonlinear_gradient(
+        np.ones((3, 4)), np.ones((2, 1)))),
+    "training.nonlinear_gradient_y_row": (ShapeMismatch, lambda: _nonlinear_gradient(
+        np.ones((3, 4)), np.ones((1, 4)))),
+    "training.nonlinear_gradient_y_vector": (ShapeMismatch, lambda: _nonlinear_gradient(
+        np.ones((3, 4)), np.ones(4))),
+    "training.nonlinear_gradient_y_rows": (ShapeMismatch, lambda: _nonlinear_gradient(
+        np.ones((3, 4)), np.ones((3, 4)))),
+    "training.epsilon_inv_median_no_points": (InvalidArgument, lambda: (
+        training.epsilon_inv_median(lambda v: 1.0, np.ones((4, 0)), embedded_cycle_rep(4, 2)))),
+    "groups.orbit_complex": (InvalidArgument, lambda: groups.orbit(
+        embedded_cycle_rep(4, 2), np.ones(4), np.ones(4) * 1j)),
+    "groups.orbit_wrong_length": (ShapeMismatch, lambda: groups.orbit(
+        embedded_cycle_rep(4, 2), np.ones(3))),
+    "ntk.augmented_kernel_complex": (InvalidArgument, lambda: ntk.augmented_kernel(
+        lambda a, b: 1.0, embedded_cycle_rep(4, 2), np.ones(4) * 1j, np.ones(4))),
 }
 
 

@@ -581,3 +581,48 @@ def test_overflowing_custom_generator_exit_1(tmp_path, capsys):
     code, _, err = run_cli(["solve", "--config", conf, "--out", str(tmp_path)], capsys)
     assert_config_error(code, err, "generator**2")
     assert len(err.splitlines()) == 1, err
+
+
+def _scaled_data(tmp_path, capsys, scale, **keys):
+    """A config with ``keys`` over BASE, and its data with X scaled by ``scale``."""
+    conf = write_config(tmp_path / "exp.conf", **keys, **BASE)
+    run_cli(["gen-data", "--config", conf, "--out", str(tmp_path)], capsys)
+    write_matrix(tmp_path / "X.mat", scale * read_matrix(tmp_path / "X.mat"))
+    return conf
+
+
+CLOSED_FORM_RUNS = [
+    ("solve", dict(mode="constrained")),
+    ("solve", dict(mode="regularized", **{"lambda": 0.1})),
+    ("solve", dict(mode="augmented")),
+    ("critical-points", dict(mode="constrained")),
+    ("path", dict(lambda_grid="geom:1e-3:1e3:5")),
+]
+
+
+@pytest.mark.parametrize("command, keys", CLOSED_FORM_RUNS)
+def test_overflowing_gram_matrix_exit_2(tmp_path, capsys, command, keys):
+    # from ~1e154 on, X X^T overflows: SingularData on one error line, no traceback or warning
+    conf = _scaled_data(tmp_path, capsys, 1e154, **keys)
+    code, _, err = run_cli([command, "--config", conf, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "non-finite" in err
+    assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("command, keys", CLOSED_FORM_RUNS)
+def test_large_finite_gram_matrix_prints_no_warning(tmp_path, capsys, command, keys):
+    # at 1e150 X X^T is finite but its norm overflows; the run succeeds without a numpy warning
+    conf = _scaled_data(tmp_path, capsys, 1e150, **keys)
+    code, _, err = run_cli([command, "--config", conf, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert err.startswith("elapsed=") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("mode", ["augmented", "hardwired", "regularized"])
+def test_overflowing_training_data_exit_2(tmp_path, capsys, mode):
+    conf = _scaled_data(tmp_path, capsys, 1e200, mode=mode, hidden=3, epochs=5,
+                        **{"lambda": 0.1})
+    code, _, err = run_cli(["train", "--config", conf, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err

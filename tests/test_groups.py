@@ -93,6 +93,35 @@ def test_element_requires_single_generator():
         groups.group_average(rep)
 
 
+def _dense_orthogonal_rep(d: int, seed: int = 0) -> groups.GroupRep:
+    """The d-cycle conjugated by a random orthogonal Q: a unitary rep with dense elements."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return groups.rep_from_generator(q @ groups.cyclic_permutation(d).generators[0] @ q.T, d)
+
+
+@pytest.mark.parametrize("make_rep", [lambda: groups.c4_image_rotation(3),
+                                      lambda: groups.cyclic_permutation(5),
+                                      lambda: _dense_orthogonal_rep(4)],
+                         ids=["c4_image_3", "cyclic_perm_5", "dense_orthogonal_4"])
+def test_orbit_is_the_per_element_products(make_rep):
+    rep = make_rep()
+    rng = np.random.default_rng(1)
+    vector, matrix = rng.standard_normal(rep.dim), rng.standard_normal((rep.dim, 6))
+    orbits = groups.orbit(rep, vector, matrix)
+    assert len(orbits) == 2
+    for point, point_orbit in zip((vector, matrix), orbits):
+        assert point_orbit.shape == (rep.order, *point.shape)
+        assert np.array_equal(point_orbit, np.stack([g @ point for g in groups.elements(rep)]))
+    assert groups.orbit(rep) == []
+
+
+def test_orbit_converts_its_points():
+    rep = groups.cyclic_permutation(3)
+    (point_orbit,) = groups.orbit(rep, [1, 2, 3])
+    assert point_orbit.dtype == np.float64
+    assert np.array_equal(point_orbit, [[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0]])
+
+
 def test_group_average_examples():
     assert np.array_equal(groups.group_average(trivial_rep(3)), np.eye(3))
     swap_rep = groups.rep_from_generator(SWAP, 2)
