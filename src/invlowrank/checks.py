@@ -1,9 +1,10 @@
 """Argument kinds: the one statement of what a count, a seed, a real or a mode may be.
 
-A public entry point checks a count, a real or a mode through a ``Kind`` here
-and converts a caller's array to float64 through ``real_array``; a new entry
-point does the same instead of restating a rule, and passes the error class
-its documented contract names (``InvalidArgument`` unless it names another).
+A public entry point checks a count, a real or a mode through a ``Kind`` here,
+converts a caller's array to float64 through ``real_array`` and tests its
+entries with ``all_finite``; a new entry point does the same instead of
+restating a rule, and passes the error class its documented contract names
+(``InvalidArgument`` unless it names another).
 """
 
 from __future__ import annotations
@@ -66,3 +67,24 @@ def real_array(a, ndim: int | None, name: str) -> np.ndarray:
     if ndim is not None and a.ndim != ndim:
         raise ShapeMismatch(f"{name} must be a {ndim}-d array, got shape {a.shape}")
     return a
+
+
+FINITE_BLOCK = 1 << 16  # entries that ``all_finite`` tests at once: a 64 KiB mask
+
+
+def all_finite(a) -> bool:
+    """Whether every entry of a is finite: ``np.all(np.isfinite(a))`` without a mask of a's size.
+
+    The entries are tested in slices of the leading axis holding at most
+    FINITE_BLOCK entries, recursing into a sub-array larger than that, so no
+    temporary exceeds one block whatever a's strides (a ravel would copy a
+    strided view whole).
+    """
+    a = np.asarray(a)
+    if a.size <= FINITE_BLOCK:
+        return bool(np.isfinite(a).all())
+    row = a[0].size
+    if row > FINITE_BLOCK:
+        return all(all_finite(sub) for sub in a)
+    step = FINITE_BLOCK // row
+    return all(np.isfinite(a[i:i + step]).all() for i in range(0, a.shape[0], step))

@@ -24,6 +24,7 @@ from .config import ExperimentConfig, load_config, resolve_group
 from .datagen import write_dataset
 from .errors import ConfigError, InvalidConfig, NumericalError
 from .groups import GroupRep
+from .linalg import unit_scaled
 from .matio import format_float, read_matrix, write_matrix
 from .ntk import property_suites
 from .solvers import (
@@ -208,6 +209,8 @@ def compare_cmd(file_a, file_b, tol):
     b = read_matrix(file_b)
     if a.shape != b.shape:
         raise NumericalError(f"shapes differ: {a.shape} vs {b.shape}")
+    # scaled by one power of two: the ratio is exact, and no norm overflows from entries of ~1e154
+    _, (a, b) = unit_scaled(a, b)
     denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
     distance = 0.0 if denom == 0.0 else float(np.linalg.norm(a - b)) / denom
     ok = distance <= tol

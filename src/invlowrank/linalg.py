@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .checks import count, real_array
+from .checks import all_finite, count, real_array
 from .errors import (InvalidArgument, NoConvergence, NotPositiveDefinite, NotSymmetric,
                      RankOutOfRange, ShapeMismatch)
 
@@ -98,7 +98,7 @@ def check_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
     x, y = real_array(x, None, "X"), real_array(y, None, "Y")
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ShapeMismatch(f"X {x.shape} and Y {y.shape} must share a sample axis")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (all_finite(x) and all_finite(y)):
         raise InvalidArgument("X and Y entries must be finite")
     return x, y
 
@@ -106,7 +106,7 @@ def check_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
 def _lapack_svd(m, **options):
     """numpy's SVD of m (``as_matrix``); NoConvergence for a non-finite entry or a failed solve."""
     m = as_matrix(m)
-    if not np.all(np.isfinite(m)):
+    if not all_finite(m):
         raise NoConvergence(f"SVD of a {m.shape} matrix with non-finite entries")
     try:
         return np.linalg.svd(m, **options)
@@ -152,6 +152,19 @@ def best_rank_r(m: np.ndarray, r: int) -> np.ndarray:
     return svd(m).select(slice(0, r))
 
 
+def unit_scaled(*arrays: np.ndarray, floor: float = 0.0) -> tuple[int, list[np.ndarray]]:
+    """(e, [a / 2**e for a in arrays]) for the least e with 2**e above ``floor`` and every |entry|.
+
+    The arrays must be finite. Dividing by a power of two is exact barring
+    underflow, so norms and their ratios taken of the scaled arrays equal the
+    unscaled ones' bit for bit wherever those do not overflow, and they cannot
+    overflow: every scaled entry is smaller than 1.
+    """
+    peak = max([floor] + [max(float(a.max()), -float(a.min())) for a in arrays if a.size])
+    e = int(np.frexp(peak)[1])
+    return e, [np.ldexp(a, -e) for a in arrays]
+
+
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
     """m as a square float64 matrix, symmetric within tolerance (NotSymmetric) and finite.
 
@@ -160,11 +173,13 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     m = real_array(m, None, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not all_finite(m):
         raise NotPositiveDefinite(f"a {m.shape} matrix with non-finite entries is not positive "
                                   "definite")
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if np.linalg.norm(m - m.T) > tol.SYMMETRY * scale:
+    # ||M - M^T|| > SYMMETRY max(1, ||M||), both sides divided by 2**e, so no norm overflows
+    e, (unit,) = unit_scaled(m, floor=1.0)
+    scale = max(2.0 ** -e, float(np.linalg.norm(unit)))
+    if np.linalg.norm(unit - unit.T) > tol.SYMMETRY * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return m
 

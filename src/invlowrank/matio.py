@@ -19,7 +19,7 @@ import zlib
 
 import numpy as np
 
-from .checks import real_array
+from .checks import all_finite, real_array
 from .errors import ConfigError, MatrixFormatError
 
 
@@ -40,7 +40,7 @@ def write_matrix(path: str | os.PathLike, m: np.ndarray) -> None:
         m = real_array(m, 2, "matrix")
     except ConfigError as exc:
         raise MatrixFormatError(str(exc)) from exc
-    if not np.all(np.isfinite(m)):
+    if not all_finite(m):
         raise MatrixFormatError("matrix entries must be finite")
     rows, cols = m.shape
     lines = [f"{rows} {cols}"]
@@ -96,7 +96,7 @@ def _parse(path: str | os.PathLike, binary) -> np.ndarray:
         raise MatrixFormatError(f"{path}: expected {rows} data rows, found {out.shape[0]}")
     if out.shape[1] != cols:
         raise MatrixFormatError(f"{path}: rows have {out.shape[1]} entries, expected {cols}")
-    if not np.all(np.isfinite(out)):
+    if not all_finite(out):
         raise MatrixFormatError(f"{path}: matrix entries must be finite")
     return out
 
@@ -172,7 +172,7 @@ def _cached(root: str, raw) -> np.ndarray | None:
             entry.seek(start)
             if (entry.readinto(out) != out.nbytes
                     or zlib.crc32(out).to_bytes(4, "big") != array_crc
-                    or not np.all(np.isfinite(out))):
+                    or not all_finite(out)):
                 return None
             return out
     except (OSError, ValueError):

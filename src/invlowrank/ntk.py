@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from . import tolerances as tol
 from .activations import get_activation
-from .checks import NONNEGATIVE, SEED, count, real_array
+from .checks import NONNEGATIVE, SEED, all_finite, count, real_array
 from .errors import (DimensionMismatch, InvalidArgument, NotUnitary, ShapeMismatch, SingularKernel,
                      ZeroVector)
 from .groups import GroupRep, check_acts_on, elements, is_unitary, orbit
@@ -38,7 +38,7 @@ class WidthSampleSet:
         object.__setattr__(self, "out_scales", real_array(self.out_scales, 1, "output scales"))
         if self.weights.shape[0] != self.out_scales.shape[0]:
             raise DimensionMismatch("one output scale per weight vector required")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.out_scales))):
+        if not (all_finite(self.weights) and all_finite(self.out_scales)):
             raise InvalidArgument("sample weights and scales must be finite")
 
     @property
@@ -90,7 +90,7 @@ def _input_pair(x: np.ndarray, xp: np.ndarray, dim: int | None = None
     if x.ndim != 1 or x.shape != xp.shape or dim not in (None, x.shape[0]):
         length = "one length" if dim is None else f"length {dim}"
         raise DimensionMismatch(f"inputs {x.shape}, {xp.shape} are not vectors of {length}")
-    if not (np.isfinite(x).all() and np.isfinite(xp).all()):
+    if not (all_finite(x) and all_finite(xp)):
         raise InvalidArgument("kernel inputs must be finite")
     return x, xp
 
@@ -262,6 +262,7 @@ def property_suites(rep: GroupRep, width: int, trials: int, seed: int
     for t, pair in enumerate(zip(orbits[::2], orbits[1::2])):
         value = _orbit_spread(relu_limiting_ntk, *pair)
         rows.append(("equivariance", t, value, exact, bool(value < exact)))
+    del orbits  # not held under the width sample
 
     samples = sample_width_set(d0, width, seed)
     for t, (x, xp) in enumerate([_unit_pair(rng, d0) for _ in range(trials)]):

@@ -1,16 +1,18 @@
 """The argument contract as one table, and the one module that owns its rules."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from invlowrank import datagen, groups, linalg, matio, ntk, solvers, training
+from invlowrank import checks, datagen, groups, linalg, matio, ntk, solvers, training
 from invlowrank.config import parse_config_text
 from invlowrank.errors import (HarnessError, IndexOutOfRange, InvalidArgument, InvalidConfig,
                                MatrixFormatError, NoConvergence, NotARepresentation,
-                               NotPositiveDefinite, RankOutOfRange, ShapeMismatch, SingularKernel)
+                               NotPositiveDefinite, NotSymmetric, RankOutOfRange, ShapeMismatch,
+                               SingularKernel)
 
 from helpers import embedded_cycle_rep
 
@@ -186,6 +188,8 @@ CONTRACT = {
         embedded_cycle_rep(4, 2), np.ones(3))),
     "ntk.augmented_kernel_complex": (InvalidArgument, lambda: ntk.augmented_kernel(
         lambda a, b: 1.0, embedded_cycle_rep(4, 2), np.ones(4) * 1j, np.ones(4))),
+    "linalg.pd_inv_sqrt_asymmetric_overflowing_norm": (NotSymmetric, lambda: linalg.pd_inv_sqrt(
+        [[2e200, 0.0], [1e200, 2e200]])),
 }
 
 
@@ -206,10 +210,20 @@ def test_noise_sigma_error_names_the_key(noise):
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "invlowrank"
 
 
+def _isfinite_call(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "isfinite")
+
+
 def _rule_restatements(tree: ast.AST) -> list[str]:
-    """Uses of numbers.Integral, math.isfinite and np.asarray(..., dtype=...) in a module."""
+    """Uses of numbers.Integral, math.isfinite, np.asarray(..., dtype=...) and array reductions
+    of np.isfinite (``np.all(np.isfinite(a))``, ``np.isfinite(a).all()``) in a module."""
     found = []
     for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "all"
+                and (_isfinite_call(node.func.value) or any(map(_isfinite_call, node.args)))):
+            found.append(f"line {node.lineno}: an all() of isfinite")
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if (node.value.id, node.attr) in {("numbers", "Integral"), ("math", "isfinite")}:
                 found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
@@ -231,3 +245,68 @@ def test_only_checks_states_argument_rules():
     assert {name: found for name, found in offenders.items() if found} == {}
     # the scan sees what it forbids
     assert _rule_restatements(ast.parse((PACKAGE / "checks.py").read_text()))
+
+
+def test_rule_scan_sees_both_spellings_of_a_finiteness_reduction():
+    source = "np.all(np.isfinite(a))\nnp.isfinite(b).all()\nnp.isfinite(c)\nnp.all(a > 0)\n"
+    assert _rule_restatements(ast.parse(source)) == [
+        "line 1: an all() of isfinite", "line 2: an all() of isfinite"]
+
+
+def _rows(extra: int = 5) -> np.ndarray:
+    """A C-ordered array of 196-entry rows spanning three blocks and a part."""
+    return np.random.default_rng(0).standard_normal((3 * checks.FINITE_BLOCK // 196 + extra, 196))
+
+
+def _with(a: np.ndarray, index, value) -> np.ndarray:
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+FINITENESS_CASES = {
+    **{f"{value}_{where}_block": (lambda value=value, index=index: _with(_rows(), index, value))
+       for value in (np.nan, np.inf, -np.inf)
+       for where, index in (("first", (0, 0)), ("last", (-1, -1)))},
+    "finite_rows": _rows,
+    "overflowing_sum": lambda: np.full(4, 1e308),
+    "empty": lambda: np.empty((0, 7)),
+    "empty_rows": lambda: np.empty((3 * checks.FINITE_BLOCK, 0)),
+    "zero_d": lambda: np.array(2.5),
+    "zero_d_nan": lambda: np.array(np.nan),
+    "vector_over_blocks": lambda: _with(np.ones(3 * checks.FINITE_BLOCK + 1), -1, np.inf),
+    "row_over_a_block": lambda: _with(np.ones((2, checks.FINITE_BLOCK + 3)), (1, -1), np.nan),
+    "transposed": lambda: _rows().T,
+    "transposed_nan_last": lambda: _with(_rows(), (-1, -1), np.nan).T,
+    "transposed_nan_first": lambda: _with(_rows(), (0, 0), np.nan).T,
+    "step_3_view": lambda: _rows()[:, ::3],
+    "step_3_view_nan_kept": lambda: _with(_rows(), (-1, 195), np.nan)[:, ::3],
+    "step_3_view_nan_skipped": lambda: _with(_rows(), (-1, 194), np.nan)[:, ::3],
+    "step_3_view_of_transpose": lambda: _with(_rows(), (3, -1), -np.inf).T[:, ::3],
+    "integers": lambda: np.arange(12).reshape(3, 4),
+}
+
+
+@pytest.mark.parametrize("make", list(FINITENESS_CASES.values()), ids=list(FINITENESS_CASES))
+def test_all_finite_equals_the_whole_array_reduction(make):
+    a = make()
+    assert checks.all_finite(a) is bool(np.all(np.isfinite(a)))
+
+
+def _peak_bytes(call) -> int:
+    """The most memory ``call`` holds at once beyond what it started with, per tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_finiteness_checks_build_no_mask_of_the_array():
+    rng = np.random.default_rng(0)
+    weights, scales = rng.standard_normal((8192, 196)), rng.standard_normal(8192)
+    x, y = rng.standard_normal((196, 8192))[:, ::2], rng.standard_normal((3, 4096))
+    peaks = {"WidthSampleSet": _peak_bytes(lambda: ntk.WidthSampleSet(weights, scales, 0)),
+             "check_samples": _peak_bytes(lambda: linalg.check_samples(x, y))}
+    assert max(peaks.values()) <= 128 * 1024, peaks

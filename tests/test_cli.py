@@ -1,5 +1,11 @@
 """End-to-end CLI behavior and the exit-code contract."""
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -413,6 +419,28 @@ def test_compare_differing_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_compare_huge_entries_finite_distance(tmp_path, capsys):
+    # a norm of entries from ~1e154 overflows; the power-of-two scaling keeps the ratio exact
+    big = np.full((2, 2), 1e160)
+    write_matrix(tmp_path / "a.mat", big)
+    big[0, 0] = 1.5e160
+    write_matrix(tmp_path / "b.mat", big)
+    code, out, _ = run_cli(["compare", str(tmp_path / "a.mat"), str(tmp_path / "b.mat"),
+                            "--tol", "0.5"], capsys)
+    assert code == 0
+    assert out.startswith("compare rel_distance=0.218") and out.rstrip().endswith("PASS"), out
+
+
+def test_compare_tiny_entries_are_told_apart(tmp_path, capsys):
+    # squares of entries below ~1e-162 underflow to 0; unscaled, both norms read 0 and so "equal"
+    write_matrix(tmp_path / "a.mat", 1e-170 * np.eye(2))
+    write_matrix(tmp_path / "b.mat", 2e-170 * np.eye(2))
+    code, out, _ = run_cli(["compare", str(tmp_path / "a.mat"), str(tmp_path / "b.mat"),
+                            "--tol", "1e-9"], capsys)
+    assert code == 2
+    assert out.startswith("compare rel_distance=0.5 "), out
+
+
 def test_unknown_subcommand_exit_1(tmp_path, capsys):
     code, _, _ = run_cli(["frobnicate"], capsys)
     assert code == 1
@@ -626,3 +654,31 @@ def test_overflowing_training_data_exit_2(tmp_path, capsys, mode):
     code, _, err = run_cli(["train", "--config", conf, "--out", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+def _solve_child(conf, out, threads):
+    """stdout and artifact bytes of ``solve`` run as a child process at ``threads`` BLAS threads."""
+    src = str(Path(matio.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    child = subprocess.run([sys.executable, "-m", "invlowrank.cli", "solve", "--config", conf,
+                            "--out", str(out)], env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr
+    return child.stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_solve_bytes_hold_at_one_thread_count_and_agree_across_two(tmp_path, capsys):
+    # byte identity is a promise for one BLAS build at one thread count; across thread
+    # counts the summation order may change, so W agrees to rounding, not to the byte
+    conf = write_config(tmp_path / "exp.conf", group="c4_image:8", dL=6, n=400,
+                        noise_sigma=0.5, seed=3, r=3, mode="regularized", **{"lambda": 0.1})
+    data = tmp_path / "data"
+    assert run_cli(["gen-data", "--config", conf, "--out", str(data)], capsys)[0] == 0
+    runs = {}
+    for name, threads in (("one", 1), ("one_again", 1), ("two", 2)):
+        shutil.copytree(data, tmp_path / name)
+        runs[name] = _solve_child(conf, tmp_path / name, threads)
+    assert runs["one"] == runs["one_again"]
+    w_one, w_two = (read_matrix(tmp_path / name / "W.mat") for name in ("one", "two"))
+    assert np.linalg.norm(w_one - w_two) <= 1e-13 * np.linalg.norm(w_one)
