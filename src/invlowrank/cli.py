@@ -5,7 +5,7 @@ compare. Every command but compare takes --config <file>, --out <dir>, and
 --seed <integer >= 0> (seed overrides the config); compare takes two matrix
 files and --tol. Outputs are plain text (matrix files and CSV)
 and byte-identical across reruns of the same config. Exit codes: 0 success,
-1 usage/I-O/config error, 2 numerical/solver error.
+1 usage/I-O/config error or a refused allocation, 2 numerical/solver error.
 """
 
 from __future__ import annotations
@@ -19,24 +19,15 @@ from typing import Iterable
 import click
 import numpy as np
 
+# modules, not names: the package loads each submodule on first use, so a command runs
+# only the code of the modules it calls
+from . import datagen, ntk, solvers, training
 from .checks import one_of
 from .config import ExperimentConfig, load_config, resolve_group
-from .datagen import write_dataset
 from .errors import ConfigError, InvalidConfig, NumericalError
 from .groups import GroupRep
 from .linalg import unit_scaled
 from .matio import format_float, read_matrix, write_matrix
-from .ntk import property_suites
-from .solvers import (
-    MODES as SOLVE_MODES,
-    RegressionProblem,
-    enumerate_critical_points,
-    regularization_path,
-    solve_augmented,
-    solve_constrained,
-    solve_regularized,
-)
-from .training import MODES as TRAIN_MODES, TrainConfig, train
 
 
 @click.group()
@@ -97,9 +88,10 @@ def _resolve_input(cfg: ExperimentConfig, key: str, out_dir: Path, default_name:
     return path
 
 
-def _load_problem(cfg: ExperimentConfig, out: Path, lam: float = 0.0) -> RegressionProblem:
+def _load_problem(cfg: ExperimentConfig, out: Path,
+                  lam: float = 0.0) -> solvers.RegressionProblem:
     x, y, rep = _read_data(cfg, out)
-    return RegressionProblem(x=x, y=y, r=cfg.require("r"), rep=rep, lam=lam)
+    return solvers.RegressionProblem(x=x, y=y, r=cfg.require("r"), rep=rep, lam=lam)
 
 
 def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> None:
@@ -115,7 +107,7 @@ def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> None:
 def gen_data_cmd(cfg: ExperimentConfig, out: Path):
     """Write synthetic X.mat, Y.mat, Wtrue.mat for the configured group."""
     seed = cfg.require("seed")
-    paths = write_dataset(cfg, out, seed)
+    paths = datagen.write_dataset(cfg, out, seed)
     click.echo(f"gen-data group={cfg.group} dL={cfg.dL} n={cfg.n} seed={seed} "
                f"files={','.join(p.name for p in paths)}")
 
@@ -123,10 +115,10 @@ def gen_data_cmd(cfg: ExperimentConfig, out: Path):
 @command("solve")
 def solve_cmd(cfg: ExperimentConfig, out: Path):
     """Solve the configured mode in closed form and write W.mat."""
-    mode, lam = _mode(cfg, SOLVE_MODES)
-    solver = {"constrained": solve_constrained,
-              "regularized": solve_regularized,
-              "augmented": solve_augmented}[mode]
+    mode, lam = _mode(cfg, solvers.MODES)
+    solver = {"constrained": solvers.solve_constrained,
+              "regularized": solvers.solve_regularized,
+              "augmented": solvers.solve_augmented}[mode]
     solution = solver(_load_problem(cfg, out, lam))
     write_matrix(out / "W.mat", solution.w)
     warnings = ",".join(solution.warnings) if solution.warnings else "-"
@@ -139,7 +131,7 @@ def solve_cmd(cfg: ExperimentConfig, out: Path):
 def path_cmd(cfg: ExperimentConfig, out: Path):
     """Sweep the lambda grid and write path.csv."""
     grid = cfg.require("lambda_grid")
-    samples = regularization_path(_load_problem(cfg, out), grid)
+    samples = solvers.regularization_path(_load_problem(cfg, out), grid)
     _write_csv(out / "path.csv", "lambda,loss,invariance_residual,distance_to_inv",
                ((s.lam, s.loss, s.invariance_residual, s.distance_to_inv) for s in samples))
     click.echo(f"path points={len(samples)} "
@@ -149,8 +141,8 @@ def path_cmd(cfg: ExperimentConfig, out: Path):
 @command("critical-points")
 def critical_points_cmd(cfg: ExperimentConfig, out: Path):
     """Enumerate every critical point and write critical.csv (loss ascending)."""
-    mode, lam = _mode(cfg, SOLVE_MODES)
-    points = enumerate_critical_points(_load_problem(cfg, out, lam), mode)
+    mode, lam = _mode(cfg, solvers.MODES)
+    points = solvers.enumerate_critical_points(_load_problem(cfg, out, lam), mode)
     _write_csv(out / "critical.csv", "index_set,loss,is_global_min",
                (("|".join(map(str, p.index_set)) or "-", p.loss,
                  "true" if p.is_global_min else "false") for p in points))
@@ -161,13 +153,13 @@ def critical_points_cmd(cfg: ExperimentConfig, out: Path):
 @command("train")
 def train_cmd(cfg: ExperimentConfig, out: Path):
     """Train a linear net in the configured mode; write trainlog.csv and Wfinal.mat."""
-    mode, lam = _mode(cfg, TRAIN_MODES)
+    mode, lam = _mode(cfg, training.MODES)
     x, y, rep = _read_data(cfg, out)
     optional = {key: getattr(cfg, key) for key in ("loss", "learning_rate", "init_scale")
                 if getattr(cfg, key) is not None}
-    train_config = TrainConfig(mode=mode, epochs=cfg.require("epochs"), seed=cfg.require("seed"),
-                               lam=lam, **optional)
-    log = train(train_config, cfg.require("hidden"), x, y, rep=rep)
+    train_config = training.TrainConfig(mode=mode, epochs=cfg.require("epochs"),
+                                        seed=cfg.require("seed"), lam=lam, **optional)
+    log = training.train(train_config, cfg.require("hidden"), x, y, rep=rep)
     _write_csv(out / "trainlog.csv", "epoch,objective,w_perp_frob,invariance_ratio,accuracy",
                ((rec.epoch, rec.objective, rec.w_perp_frob, rec.invariance_ratio, rec.accuracy)
                 for rec in log.records))
@@ -182,8 +174,8 @@ def train_cmd(cfg: ExperimentConfig, out: Path):
 @command("ntk-check")
 def ntk_check_cmd(cfg: ExperimentConfig, out: Path):
     """Run the tangent-kernel property suites; write ntk.csv; exit 2 on failure."""
-    rows = property_suites(resolve_group(cfg), cfg.require("width"), cfg.require("trials"),
-                           cfg.require("seed"))
+    rows = ntk.property_suites(resolve_group(cfg), cfg.require("width"), cfg.require("trials"),
+                               cfg.require("seed"))
     _write_csv(out / "ntk.csv", "suite,trial,discrepancy,tolerance,status",
                (row[:4] + ("pass" if row[4] else "fail",) for row in rows))
     worst: dict[str, float] = {}
@@ -224,7 +216,8 @@ def entry(argv=None) -> int:
     """Console entry point with the documented exit-code contract.
 
     numpy's floating-point warnings are off: a breakdown they would announce is
-    reported by the check that catches it, on one ``error:`` line.
+    reported by the check that catches it, on one ``error:`` line. An allocation
+    the machine refuses exits 1 too: the config asks for more than it grants.
     """
     try:
         with np.errstate(all="ignore"):
@@ -236,6 +229,9 @@ def entry(argv=None) -> int:
         sys.exit(1)
     except (ConfigError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+    except MemoryError as exc:
+        click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
         sys.exit(1)
     except NumericalError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -395,6 +395,19 @@ def test_ntk_check_non_unitary_group_exit_2(tmp_path, capsys):
     assert "unitary" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "ntk-check"])
+def test_refused_allocation_exit_1_on_one_line(tmp_path, capsys, command):
+    # a 2e8-dimensional group asks for a 3.2e17-byte matrix, past any 64-bit address
+    # space: numpy refuses it at once, and no memory is touched
+    conf = write_config(tmp_path / "big.conf", group="cyclic_perm:200000000", dL=3, n=40,
+                        seed=1, width=64, trials=2)
+    code, _, err = run_cli([command, "--config", conf, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert "allocate" in err
+
+
 def test_solve_singular_data_exit_2(tmp_path, capsys):
     x = np.random.default_rng(0).standard_normal((16, 64))
     x[3] = 0.0  # rank-deficient rows
