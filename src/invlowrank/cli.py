@@ -3,26 +3,27 @@
 Subcommands: gen-data, solve, path, critical-points, train, ntk-check, and
 compare. Every command but compare takes --config <file>, --out <dir>, and
 --seed <integer >= 0> (seed overrides the config); compare takes two matrix
-files and --tol. Outputs are plain text (matrix files and CSV)
-and byte-identical across reruns of the same config. Exit codes: 0 success,
-1 usage/I-O/config error or a refused allocation, 2 numerical/solver error.
+files and --tol. -h prints help; abbreviated options are refused. Outputs are
+plain text (matrix files and CSV) and byte-identical across reruns of the same
+config. Exit codes: 0 success, 1 usage/I-O/config error or a refused
+allocation, 2 numerical/solver error.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import sys
 import time
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
-import click
 import numpy as np
 
 # modules, not names: the package loads each submodule on first use, so a command runs
 # only the code of the modules it calls
 from . import datagen, ntk, solvers, training
-from .checks import one_of
+from .checks import SEED, one_of
 from .config import ExperimentConfig, load_config, resolve_group
 from .errors import ConfigError, InvalidConfig, NumericalError
 from .groups import GroupRep
@@ -30,40 +31,32 @@ from .linalg import unit_scaled
 from .matio import format_float, read_matrix, write_matrix
 
 
-@click.group()
-def main():
-    """Invariant rank-bounded regression experiment harness."""
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise InvalidConfig, so they exit 1 on one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InvalidConfig(message)
 
 
-def command(name: str):
-    """Register ``body(cfg, out)`` as the config-driven subcommand ``name``.
+def _seed(text: str) -> int:
+    """The --seed value, checked by the rule the config's seed key uses."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    return SEED.check(value, "--seed", InvalidConfig)
 
-    The subcommand takes --config, --out and --seed. It loads the config, lets
-    --seed override the config seed, creates the output directory, runs the
-    body, and logs the elapsed time to stderr when the body returns.
-    """
-    def register(body):
-        @main.command(name)
-        @click.option("--config", "config_path", default=None, help="Experiment config file.")
-        @click.option("--out", "out_dir", default=".", help="Output directory.")
-        @click.option("--seed", "seed_override", type=click.IntRange(min=0), default=None,
-                      help="Override the config seed.")
-        @functools.wraps(body)
-        def run(config_path, out_dir, seed_override):
-            started = time.monotonic()
-            if config_path is None:
-                raise InvalidConfig("missing required option --config")
-            cfg = load_config(config_path)
-            if seed_override is not None:
-                cfg.seed = seed_override
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            body(cfg, out)
-            click.echo(f"elapsed={time.monotonic() - started:.3f}s", err=True)
 
-        return run
-
-    return register
+def _run(body, args: argparse.Namespace) -> None:
+    """Load --config, apply --seed, create --out, run ``body(cfg, out)``, log the time taken."""
+    started = time.monotonic()
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    body(cfg, out)
+    print(f"elapsed={time.monotonic() - started:.3f}s", file=sys.stderr)
 
 
 def _mode(cfg: ExperimentConfig, modes: tuple[str, ...]) -> tuple[str, float]:
@@ -103,16 +96,14 @@ def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> None:
                               for v in row) + "\n")
 
 
-@command("gen-data")
 def gen_data_cmd(cfg: ExperimentConfig, out: Path):
     """Write synthetic X.mat, Y.mat, Wtrue.mat for the configured group."""
     seed = cfg.require("seed")
     paths = datagen.write_dataset(cfg, out, seed)
-    click.echo(f"gen-data group={cfg.group} dL={cfg.dL} n={cfg.n} seed={seed} "
-               f"files={','.join(p.name for p in paths)}")
+    print(f"gen-data group={cfg.group} dL={cfg.dL} n={cfg.n} seed={seed} "
+          f"files={','.join(p.name for p in paths)}")
 
 
-@command("solve")
 def solve_cmd(cfg: ExperimentConfig, out: Path):
     """Solve the configured mode in closed form and write W.mat."""
     mode, lam = _mode(cfg, solvers.MODES)
@@ -122,23 +113,21 @@ def solve_cmd(cfg: ExperimentConfig, out: Path):
     solution = solver(_load_problem(cfg, out, lam))
     write_matrix(out / "W.mat", solution.w)
     warnings = ",".join(solution.warnings) if solution.warnings else "-"
-    click.echo(f"mode={mode} loss={format_float(solution.loss)} rank={solution.rank} "
-               f"invariance_residual={format_float(solution.invariance_residual)} "
-               f"warnings={warnings}")
+    print(f"mode={mode} loss={format_float(solution.loss)} rank={solution.rank} "
+          f"invariance_residual={format_float(solution.invariance_residual)} "
+          f"warnings={warnings}")
 
 
-@command("path")
 def path_cmd(cfg: ExperimentConfig, out: Path):
     """Sweep the lambda grid and write path.csv."""
     grid = cfg.require("lambda_grid")
     samples = solvers.regularization_path(_load_problem(cfg, out), grid)
     _write_csv(out / "path.csv", "lambda,loss,invariance_residual,distance_to_inv",
                ((s.lam, s.loss, s.invariance_residual, s.distance_to_inv) for s in samples))
-    click.echo(f"path points={len(samples)} "
-               f"final_distance_to_inv={format_float(samples[-1].distance_to_inv)}")
+    print(f"path points={len(samples)} "
+          f"final_distance_to_inv={format_float(samples[-1].distance_to_inv)}")
 
 
-@command("critical-points")
 def critical_points_cmd(cfg: ExperimentConfig, out: Path):
     """Enumerate every critical point and write critical.csv (loss ascending)."""
     mode, lam = _mode(cfg, solvers.MODES)
@@ -146,11 +135,10 @@ def critical_points_cmd(cfg: ExperimentConfig, out: Path):
     _write_csv(out / "critical.csv", "index_set,loss,is_global_min",
                (("|".join(map(str, p.index_set)) or "-", p.loss,
                  "true" if p.is_global_min else "false") for p in points))
-    click.echo(f"critical-points mode={mode} count={len(points)} "
-               f"min_loss={format_float(points[0].loss)}")
+    print(f"critical-points mode={mode} count={len(points)} "
+          f"min_loss={format_float(points[0].loss)}")
 
 
-@command("train")
 def train_cmd(cfg: ExperimentConfig, out: Path):
     """Train a linear net in the configured mode; write trainlog.csv and Wfinal.mat."""
     mode, lam = _mode(cfg, training.MODES)
@@ -165,13 +153,12 @@ def train_cmd(cfg: ExperimentConfig, out: Path):
                 for rec in log.records))
     write_matrix(out / "Wfinal.mat", log.final_w)
     last = log.records[-1]
-    click.echo(f"train mode={mode} epochs={len(log.records)} "
-               f"final_objective={format_float(last.objective)} "
-               f"final_w_perp={format_float(last.w_perp_frob)} "
-               f"final_accuracy={format_float(last.accuracy)}")
+    print(f"train mode={mode} epochs={len(log.records)} "
+          f"final_objective={format_float(last.objective)} "
+          f"final_w_perp={format_float(last.w_perp_frob)} "
+          f"final_accuracy={format_float(last.accuracy)}")
 
 
-@command("ntk-check")
 def ntk_check_cmd(cfg: ExperimentConfig, out: Path):
     """Run the tangent-kernel property suites; write ntk.csv; exit 2 on failure."""
     rows = ntk.property_suites(resolve_group(cfg), cfg.require("width"), cfg.require("trials"),
@@ -184,19 +171,15 @@ def ntk_check_cmd(cfg: ExperimentConfig, out: Path):
     failed = {row[0] for row in rows if not row[4]}
     for suite in worst:
         status = "FAIL" if suite in failed else "PASS"
-        click.echo(f"ntk suite={suite} max_discrepancy={format_float(worst[suite])} {status}")
+        print(f"ntk suite={suite} max_discrepancy={format_float(worst[suite])} {status}")
     if failed:
         raise NumericalError(f"ntk suites failed: {', '.join(sorted(failed))}")
 
 
-@main.command("compare")
-@click.argument("file_a")
-@click.argument("file_b")
-@click.option("--tol", type=float, default=0.0, help="Relative Frobenius tolerance (>= 0).")
 def compare_cmd(file_a, file_b, tol):
     """Compare two matrix files; exit 0 when equal within --tol, 2 otherwise."""
     if not tol >= 0.0:
-        raise click.BadParameter(f"{tol} is not a number >= 0", param_hint="'--tol'")
+        raise InvalidConfig(f"--tol must be a number >= 0, got {tol}")
     a = read_matrix(file_a)
     b = read_matrix(file_b)
     if a.shape != b.shape:
@@ -206,13 +189,33 @@ def compare_cmd(file_a, file_b, tol):
     denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
     distance = 0.0 if denom == 0.0 else float(np.linalg.norm(a - b)) / denom
     ok = distance <= tol
-    click.echo(f"compare rel_distance={format_float(distance)} tol={format_float(tol)} "
-               f"{'PASS' if ok else 'FAIL'}")
+    print(f"compare rel_distance={format_float(distance)} tol={format_float(tol)} "
+          f"{'PASS' if ok else 'FAIL'}")
     if not ok:
         raise NumericalError(f"matrices differ: relative distance {distance:.3e} > {tol:.3e}")
 
 
-def entry(argv=None) -> int:
+def _parser() -> _Parser:
+    parser = _Parser(prog="invlowrank", description=__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", metavar="command", required=True)
+    add = functools.partial(commands.add_parser, allow_abbrev=False)
+    for name, body in (("gen-data", gen_data_cmd), ("solve", solve_cmd), ("path", path_cmd),
+                       ("critical-points", critical_points_cmd), ("train", train_cmd),
+                       ("ntk-check", ntk_check_cmd)):
+        sub = add(name, help=body.__doc__, description=body.__doc__)
+        sub.add_argument("--config", required=True, help="Experiment config file.")
+        sub.add_argument("--out", default=".", help="Output directory.")
+        sub.add_argument("--seed", type=_seed, help="Override the config seed (an integer >= 0).")
+        sub.set_defaults(run=functools.partial(_run, body))
+    sub = add("compare", help=compare_cmd.__doc__, description=compare_cmd.__doc__)
+    sub.add_argument("file_a")
+    sub.add_argument("file_b")
+    sub.add_argument("--tol", type=float, default=0.0, help="Relative Frobenius tolerance (>= 0).")
+    sub.set_defaults(run=lambda args: compare_cmd(args.file_a, args.file_b, args.tol))
+    return parser
+
+
+def entry(argv: list[str] | None = None) -> NoReturn:
     """Console entry point with the documented exit-code contract.
 
     numpy's floating-point warnings are off: a breakdown they would announce is
@@ -220,21 +223,17 @@ def entry(argv=None) -> int:
     the machine refuses exits 1 too: the config asks for more than it grants.
     """
     try:
+        args = _parser().parse_args(argv)
         with np.errstate(all="ignore"):
-            main.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(1)
+            args.run(args)
     except (ConfigError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
     except MemoryError as exc:
-        click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         sys.exit(1)
     except NumericalError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     sys.exit(0)
 

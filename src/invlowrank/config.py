@@ -46,7 +46,8 @@ def _float_list(raw: str) -> tuple[float, ...]:
     if points == 1:
         return (start,)
     ratio = (stop / start) ** (1.0 / (points - 1))
-    return tuple(start * ratio ** i for i in range(points))
+    # the last point is stop itself: start * ratio**(points - 1) may miss it by rounding
+    return tuple(start * ratio ** i for i in range(points - 1)) + (stop,)
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

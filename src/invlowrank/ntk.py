@@ -208,7 +208,7 @@ def kernel_interpolate(k: KernelMatrix, y: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularKernel(f"kernel solve failed: {exc}") from exc
     residual = float(np.linalg.norm(system @ alpha - y))
-    bound = tol.KERNEL_RESIDUAL * max(float(np.linalg.norm(y)), 1e-300)
+    bound = tol.KERNEL_RESIDUAL * max(float(np.linalg.norm(y)), tol.SCALE_FLOOR)
     if not residual <= bound:  # a NaN residual fails too
         raise SingularKernel(f"solve residual {residual:.3e} exceeds {bound:.3e}")
     return alpha

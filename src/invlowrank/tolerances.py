@@ -46,3 +46,8 @@ MAX_SUBSETS = 10**6
 
 # training aborts when the objective exceeds DIVERGENCE_FACTOR * initial value
 DIVERGENCE_FACTOR = 1e6
+
+# the least scale of a relative bound: ||y|| in ntk.kernel_interpolate's residual bound and
+# the initial objective in training.train's divergence test are raised to SCALE_FLOOR, so a
+# zero scale (y = 0, an exact fit at initialization) still gives a positive bound
+SCALE_FLOOR = 1e-300

@@ -416,6 +416,7 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     objective_fn = mse_objective if config.loss == "mse" else cross_entropy_objective
 
     initial = objective_fn(end_to_end(params), x_train, y_train, lam, g)
+    bound = tol.DIVERGENCE_FACTOR * max(initial, tol.SCALE_FLOOR)
     labels = np.argmax(y, axis=0)
     # G's projector is per-run work: factored here, its SVD workspace is freed before the
     # loop allocates its metric blocks instead of stacking on them (a lower peak RSS)
@@ -426,7 +427,7 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
         params, state = adam_step(params, state, grads, config)
         w = end_to_end(params)
         objective = objective_fn(w, x_train, y_train, lam, g)
-        if not np.isfinite(objective) or objective > tol.DIVERGENCE_FACTOR * max(initial, 1e-300):
+        if not np.isfinite(objective) or objective > bound:
             raise DivergenceDetected(
                 f"objective {objective:.3e} exceeded {tol.DIVERGENCE_FACTOR:.0e} x initial at epoch {epoch}"
             )

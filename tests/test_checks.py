@@ -253,6 +253,25 @@ def test_rule_scan_sees_both_spellings_of_a_finiteness_reduction():
         "line 1: an all() of isfinite", "line 2: an all() of isfinite"]
 
 
+def _tiny_literals(tree: ast.AST) -> list[str]:
+    """Float literals v with 0 < |v| <= 1e-12 in a module: numerical cutoffs."""
+    return [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < abs(node.value) <= 1e-12]
+
+
+def test_only_tolerances_states_numerical_cutoffs():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "tolerances.py" in modules
+    offenders = {path.name: _tiny_literals(ast.parse(path.read_text()))
+                 for path in modules if path.name != "tolerances.py"}
+    assert {name: found for name, found in offenders.items() if found} == {}
+    # the scan sees what it forbids, and a negative literal by its magnitude
+    assert _tiny_literals(ast.parse((PACKAGE / "tolerances.py").read_text()))
+    assert sorted(_tiny_literals(ast.parse("a = -1e-300\nb = 1e-12\nc = 2e-12\nd = 0.0\n"))) == [
+        "line 1: 1e-300", "line 2: 1e-12"]
+
+
 def _rows(extra: int = 5) -> np.ndarray:
     """A C-ordered array of 196-entry rows spanning three blocks and a part."""
     return np.random.default_rng(0).standard_normal((3 * checks.FINITE_BLOCK // 196 + extra, 196))

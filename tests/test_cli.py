@@ -531,6 +531,32 @@ def test_negative_seed_option_exit_1(tmp_path, capsys):
     assert_config_error(code, err, "--seed")
 
 
+def test_seed_option_is_checked_by_the_config_seed_rule_before_the_config(tmp_path, capsys):
+    # the config file does not exist: --seed is refused while parsing, before it is read
+    code, _, err = run_cli(["gen-data", "--config", str(tmp_path / "none.conf"),
+                            "--seed", "-5"], capsys)
+    # the phrase of checks.SEED, the rule of the config's seed key
+    assert_config_error(code, err, "--seed must be an integer >= 0")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["solve", "--conf", "exp.conf"], "--config"),
+    (["gen-data", "--config", "exp.conf", "--se", "3"], "--se"),
+    (["gen-data", "--config", "exp.conf", "--ou", "elsewhere"], "--ou"),
+    (["compare", "W.mat", "W.mat", "--to", "1"], "--to"),
+])
+def test_abbreviated_option_exit_1(tmp_path, capsys, monkeypatch, argv, option):
+    # every argv would run if the abbreviation were taken for the option it begins
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "exp.conf", mode="constrained", **BASE)
+    assert run_cli(["gen-data", "--config", "exp.conf"], capsys)[0] == 0
+    assert run_cli(["solve", "--config", "exp.conf"], capsys)[0] == 0
+    code, out, err = run_cli(argv, capsys)
+    assert_config_error(code, err, option)
+    assert out == ""
+    assert not (tmp_path / "elsewhere").exists()
+
+
 @pytest.mark.parametrize("key, value", [("width", 0), ("width", 1), ("trials", 0)])
 def test_ntk_check_degenerate_sizes_exit_1(tmp_path, capsys, key, value):
     conf = write_config(tmp_path / "ntk.conf", **{**NTK, key: value})

@@ -38,6 +38,15 @@ def test_geometric_grid():
     assert parse_one("lambda_grid", "geom:2:5:1").lambda_grid == (2.0,)
 
 
+@pytest.mark.parametrize("raw, start, stop", [("geom:1e-3:1e6:100", 1e-3, 1e6),
+                                               ("geom:1e-4:1e4:100", 1e-4, 1e4)])
+def test_geometric_grid_ends_exactly_at_stop(raw, start, stop):
+    # start * ratio**(count - 1) rounds to 999999.9999999993 and 10000.000000000073
+    grid = parse_one("lambda_grid", raw).lambda_grid
+    assert (len(grid), grid[0], grid[-1]) == (100, start, stop)
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
 @pytest.mark.parametrize("raw", ["geom:1:2", "geom:1:2:3:4", "geom:0:1:3", "geom:2:1:3",
                                  "geom:1:1:3", "geom:1:2:0", "geom:1:2:x", "geom:1:inf:3",
                                  "1, x", "1, nan", "1e400"])

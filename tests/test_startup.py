@@ -73,6 +73,21 @@ def test_ntk_check_executes_all_but_the_generator(toy_dir):
     assert not_executed(toy_dir, "ntk-check") == {"datagen"}
 
 
+def test_importing_cli_imports_no_click():
+    child = python("-c", "import sys, invlowrank.cli; print('click' in sys.modules)")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "solve", "path", "critical-points", "train",
+                                     "ntk-check"])
+def test_no_command_imports_click(toy_dir, command):
+    child = python("-c", PROBE + "print('click' in sys.modules)\n", command,
+                   "--config", str(toy_dir / "toy.conf"), "--out", str(toy_dir))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "False"
+
+
 def test_every_traced_layer_is_in_sys_modules_after_importing_cli():
     # the layers benchmarks/spans.py's Tracer.install looks up right after this import
     layers = ("config", "datagen", "matio", "groups", "linalg", "solvers", "training", "ntk")
