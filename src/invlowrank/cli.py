@@ -31,6 +31,12 @@ from .linalg import unit_scaled
 from .matio import format_float, read_matrix, write_matrix
 
 
+# numpy refuses an array of 2**63 bytes or more at once, with a ValueError in place of a
+# MemoryError; its message starts with one of these
+_NUMPY_REFUSALS = ("Maximum allowed dimension exceeded", "Maximum allowed size exceeded",
+                   "array is too big")
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise InvalidConfig, so they exit 1 on one line."""
 
@@ -231,6 +237,11 @@ def entry(argv: list[str] | None = None) -> NoReturn:
         sys.exit(1)
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        sys.exit(1)
+    except ValueError as exc:
+        if not str(exc).startswith(_NUMPY_REFUSALS):
+            raise
+        print(f"error: cannot allocate: {exc}", file=sys.stderr)
         sys.exit(1)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,8 +46,14 @@ def _float_list(raw: str) -> tuple[float, ...]:
     if points == 1:
         return (start,)
     ratio = (stop / start) ** (1.0 / (points - 1))
+    if REAL.valid(ratio):
+        head = [start * ratio ** i for i in range(points - 1)]
+    else:
+        # stop / start overflows: each point as start**(1 - t) * stop**t, whose factors stay finite
+        head = [start] + [start ** (1 - t) * stop ** t
+                          for t in (i / (points - 1) for i in range(1, points - 1))]
     # the last point is stop itself: start * ratio**(points - 1) may miss it by rounding
-    return tuple(start * ratio ** i for i in range(points - 1)) + (stop,)
+    return tuple(head) + (stop,)
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

@@ -3,6 +3,8 @@
 Entries are serialized with 17 significant digits, which round-trips every
 64-bit float bit-exactly. Files always use '.' decimals, single spaces, and
 LF line endings, so rewriting a matrix reproduces the file byte for byte.
+Rows are written one at a time by numpy's ``savetxt``, so a write holds one
+row of text, never the whole file.
 A parsed file is kept in a per-user cache, which serves it only while the
 file's bytes equal the cached copy, so a read returns what a parse would.
 """
@@ -43,11 +45,8 @@ def write_matrix(path: str | os.PathLike, m: np.ndarray) -> None:
     if not all_finite(m):
         raise MatrixFormatError("matrix entries must be finite")
     rows, cols = m.shape
-    lines = [f"{rows} {cols}"]
-    template = " ".join([FLOAT_FORMAT] * cols)
-    lines.extend(template % tuple(row) for row in m.tolist())
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, m, fmt=FLOAT_FORMAT, delimiter=" ", header=f"{rows} {cols}", comments="")
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:

@@ -408,6 +408,46 @@ def test_refused_allocation_exit_1_on_one_line(tmp_path, capsys, command):
     assert "allocate" in err
 
 
+# each asks for 2**63 bytes or more, past any 64-bit address space: numpy refuses the
+# array with a ValueError at once, and no memory is touched
+_PAST_THE_ADDRESS_SPACE = [
+    ("gen-data", dict(n=10 ** 20)),
+    ("gen-data", dict(dL=10 ** 20)),
+    ("gen-data", dict(group="cyclic_perm:100000000000")),
+    ("gen-data", dict(group="c4_image:10000000000")),
+    ("train", dict(hidden=10 ** 20)),
+    ("ntk-check", dict(width=10 ** 20)),
+]
+
+
+@pytest.mark.parametrize("command, big", _PAST_THE_ADDRESS_SPACE,
+                         ids=["n", "dL", "cyclic_perm", "c4_image", "hidden", "width"])
+def test_allocation_past_the_address_space_exit_1_on_one_line(tmp_path, capsys, command, big):
+    small = dict(group="cyclic_perm:2", dL=2, n=40, seed=1, mode="regularized", epochs=2,
+                 hidden=3, width=64, trials=2, **{"lambda": 0.1})
+    conf = write_config(tmp_path / "small.conf", **small)
+    code, _, _ = run_cli(["gen-data", "--config", conf, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    conf = write_config(tmp_path / "big.conf", **{**small, **big})
+    code, _, err = run_cli([command, "--config", conf, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert "allocate" in err
+
+
+def test_plain_value_error_in_a_command_propagates(tmp_path, capsys, monkeypatch):
+    from invlowrank import datagen
+
+    def fail(*args):
+        raise ValueError("not an allocation")
+
+    monkeypatch.setattr(datagen, "write_dataset", fail)
+    conf = write_config(tmp_path / "exp.conf", **BASE)
+    with pytest.raises(ValueError, match="not an allocation"):
+        entry(["gen-data", "--config", conf, "--out", str(tmp_path)])
+
+
 def test_solve_singular_data_exit_2(tmp_path, capsys):
     x = np.random.default_rng(0).standard_normal((16, 64))
     x[3] = 0.0  # rank-deficient rows

@@ -156,3 +156,18 @@ def test_load_config_non_utf8(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(InvalidConfig, match="nope.conf"):
         load_config(tmp_path / "nope.conf")
+
+
+def test_geometric_grid_whose_ratio_overflows():
+    # stop / start is inf in floating point: each point is start**(1 - t) * stop**t instead
+    grid = parse_one("lambda_grid", "geom:1e-300:1e300:3").lambda_grid
+    assert (len(grid), grid[0], grid[-1]) == (3, 1e-300, 1e300)
+    assert all(map(math.isfinite, grid))
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def test_benchmark_grid_keeps_its_points():
+    # each point as the ratio form computes it, stop itself last
+    ratio = (1e6 / 1e-3) ** (1.0 / 99)
+    expected = tuple(1e-3 * ratio ** i for i in range(99)) + (1e6,)
+    assert parse_one("lambda_grid", "geom:1e-3:1e6:100").lambda_grid == expected

@@ -1,5 +1,6 @@
 """Matrix-file format: bit-exact round trips, error reporting and the read cache."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -61,6 +62,40 @@ def test_write_rejects_non_finite(tmp_path):
         write_matrix(tmp_path / "bad.mat", np.array([[np.nan]]))
     with pytest.raises(MatrixFormatError):
         write_matrix(tmp_path / "bad.mat", np.array([[np.inf]]))
+
+
+# every sign, the extremes and the smallest subnormal, as the writer must spell them
+EXTREMES = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 3)])
+def test_written_text_is_the_header_then_one_line_per_row(tmp_path, shape):
+    rng = np.random.default_rng(sum(shape))
+    rows, cols = shape
+    matrices = [np.resize(np.roll(EXTREMES, -k), shape) for k in range(len(EXTREMES))]
+    matrices.append(rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape))
+    path = tmp_path / "m.mat"
+    for m in matrices:
+        write_matrix(path, m)
+        reference = f"{rows} {cols}\n" + "".join(
+            " ".join(["%.17g"] * cols) % tuple(row) + "\n" for row in m.tolist())
+        assert path.read_bytes() == reference.encode()
+
+
+def test_write_holds_no_whole_file_text(tmp_path):
+    # the text of a 196 x 1000 matrix is ~4.5 MB; a write that also built it whole, from a
+    # float object per entry, peaked at ~12 MB of traced allocations. The traced peak, not a
+    # child's ru_maxrss: a child started by exec inherits its parent's peak resident set.
+    m = np.random.default_rng(0).standard_normal((196, 1000))
+    write_matrix(tmp_path / "m.mat", m[:2])  # what writing loads, outside the measured span
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "m.mat", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert np.array_equal(read_matrix(tmp_path / "m.mat"), m)
 
 
 def test_read_rejects_malformed(tmp_path):
