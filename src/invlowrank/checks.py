@@ -2,7 +2,8 @@
 
 A public entry point checks a count, a real or a mode through a ``Kind`` here,
 converts a caller's array to float64 through ``real_array`` and tests its
-entries with ``all_finite``; a new entry point does the same instead of
+entries with ``all_finite``, whose temporaries are bounded by FINITE_BLOCK
+entries whatever the array's size; a new entry point does the same instead of
 restating a rule, and passes the error class its documented contract names
 (``InvalidArgument`` unless it names another).
 """
@@ -69,22 +70,17 @@ def real_array(a, ndim: int | None, name: str) -> np.ndarray:
     return a
 
 
-FINITE_BLOCK = 1 << 16  # entries that ``all_finite`` tests at once: a 64 KiB mask
+FINITE_BLOCK = 1 << 13  # entries per ``all_finite`` block: a 64 KiB buffer of float64, an 8 KiB mask
 
 
 def all_finite(a) -> bool:
     """Whether every entry of a is finite: ``np.all(np.isfinite(a))`` without a mask of a's size.
 
-    The entries are tested in slices of the leading axis holding at most
-    FINITE_BLOCK entries, recursing into a sub-array larger than that, so no
-    temporary exceeds one block whatever a's strides (a ravel would copy a
-    strided view whole).
+    numpy's buffered iterator walks a in memory order, whatever its shape and
+    strides, in blocks of at most FINITE_BLOCK entries; it copies a block into
+    its buffer only where a's strides need it. So no temporary exceeds one
+    block and its mask (a ravel would copy a strided view whole).
     """
-    a = np.asarray(a)
-    if a.size <= FINITE_BLOCK:
-        return bool(np.isfinite(a).all())
-    row = a[0].size
-    if row > FINITE_BLOCK:
-        return all(all_finite(sub) for sub in a)
-    step = FINITE_BLOCK // row
-    return all(np.isfinite(a[i:i + step]).all() for i in range(0, a.shape[0], step))
+    blocks = np.nditer(np.asarray(a), flags=["external_loop", "buffered", "zerosize_ok"],
+                       buffersize=FINITE_BLOCK)
+    return all(np.isfinite(block).all() for block in blocks)

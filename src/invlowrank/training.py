@@ -27,7 +27,7 @@ metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 

@@ -10,7 +10,7 @@ import pytest
 from invlowrank import checks, datagen, groups, linalg, matio, ntk, solvers, training
 from invlowrank.config import parse_config_text
 from invlowrank.errors import (HarnessError, IndexOutOfRange, InvalidArgument, InvalidConfig,
-                               MatrixFormatError, NoConvergence, NotARepresentation,
+                               MatrixFormatError, NoConvergence, NonSquare, NotARepresentation,
                                NotPositiveDefinite, NotSymmetric, RankOutOfRange, ShapeMismatch,
                                SingularKernel)
 
@@ -190,6 +190,15 @@ CONTRACT = {
         lambda a, b: 1.0, embedded_cycle_rep(4, 2), np.ones(4) * 1j, np.ones(4))),
     "linalg.pd_inv_sqrt_asymmetric_overflowing_norm": (NotSymmetric, lambda: linalg.pd_inv_sqrt(
         [[2e200, 0.0], [1e200, 2e200]])),
+    "linalg.pd_inv_sqrt_not_square": (NotSymmetric, lambda: linalg.pd_inv_sqrt(np.ones((2, 3)))),
+    "groups.rep_from_generators_dimensions": (NonSquare, lambda: groups.rep_from_generators(
+        [np.eye(2), np.eye(3)], [1, 1])),
+    "training.init_params_one_width": (InvalidConfig, lambda: training.init_params((3,), 0)),
+    "training.train_augmented_constraint_without_rep": (InvalidConfig, lambda: training.train(
+        _train_config(), (2,), *_data(),
+        constraint=groups.invariance_constraint(embedded_cycle_rep(4, 2)))),
+    "datagen.d0_not_the_group_dimension": (InvalidConfig, lambda: datagen.generate_dataset(
+        parse_config_text("group = c4_image:3\nd0 = 5\ndL = 2\nn = 40\n"), 0)),
 }
 
 
@@ -283,6 +292,19 @@ def _with(a: np.ndarray, index, value) -> np.ndarray:
     return a
 
 
+def _normal(shape) -> np.ndarray:
+    return np.random.default_rng(0).standard_normal(shape)
+
+
+# strided views of C-ordered arrays: (base shape, view, an entry of the base that the
+# view keeps, one that it skips)
+STRIDED_VIEWS = {
+    "3d_step_view": ((8, 400, 300), lambda a: a[:, ::2, ::3], (7, 398, 297), (7, 399, 299)),
+    "2d_step_view": ((4000, 400), lambda a: a[::3, ::2], (3999, 398), (3998, 399)),
+    "transpose_step_view": ((196, 4096), lambda a: a.T[::2], (195, 4094), (195, 4095)),
+}
+
+
 FINITENESS_CASES = {
     **{f"{value}_{where}_block": (lambda value=value, index=index: _with(_rows(), index, value))
        for value in (np.nan, np.inf, -np.inf)
@@ -303,6 +325,11 @@ FINITENESS_CASES = {
     "step_3_view_nan_skipped": lambda: _with(_rows(), (-1, 194), np.nan)[:, ::3],
     "step_3_view_of_transpose": lambda: _with(_rows(), (3, -1), -np.inf).T[:, ::3],
     "integers": lambda: np.arange(12).reshape(3, 4),
+    **{f"{name}{suffix}": (lambda shape=shape, view=view, index=index, value=value:
+                           view(_with(_normal(shape), index, value)))
+       for name, (shape, view, kept, skipped) in STRIDED_VIEWS.items()
+       for suffix, index, value in (("", kept, 1.0), ("_nan_kept", kept, np.nan),
+                                    ("_inf_skipped", skipped, np.inf))},
 }
 
 
@@ -328,4 +355,7 @@ def test_finiteness_checks_build_no_mask_of_the_array():
     x, y = rng.standard_normal((196, 8192))[:, ::2], rng.standard_normal((3, 4096))
     peaks = {"WidthSampleSet": _peak_bytes(lambda: ntk.WidthSampleSet(weights, scales, 0)),
              "check_samples": _peak_bytes(lambda: linalg.check_samples(x, y))}
+    for name, (shape, view, _, _) in STRIDED_VIEWS.items():
+        a = view(_normal(shape))
+        peaks[name] = _peak_bytes(lambda: checks.all_finite(a))
     assert max(peaks.values()) <= 128 * 1024, peaks

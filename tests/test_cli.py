@@ -597,7 +597,10 @@ def test_abbreviated_option_exit_1(tmp_path, capsys, monkeypatch, argv, option):
     assert not (tmp_path / "elsewhere").exists()
 
 
-@pytest.mark.parametrize("key, value", [("width", 0), ("width", 1), ("trials", 0)])
+@pytest.mark.parametrize("key, value", [("width", 0), ("width", 1), ("trials", 0),
+                                        ("group", "custom:gen.mat"),
+                                        ("group", "custom:missing.mat+2"), ("group", "foo:3"),
+                                        ("group", "c4_image:x"), ("group", "cyclic_perm:0")])
 def test_ntk_check_degenerate_sizes_exit_1(tmp_path, capsys, key, value):
     conf = write_config(tmp_path / "ntk.conf", **{**NTK, key: value})
     code, _, err = run_cli(["ntk-check", "--config", conf, "--out", str(tmp_path)], capsys)

@@ -290,6 +290,12 @@ SHAPE_CALLS = {
         _nonlinear_net(), np.ones((3, 5))),
     "training.nonlinear_gradient_rows": lambda: training.nonlinear_gradient(
         _nonlinear_net(), np.ones((3, 5)), np.ones((1, 5))),
+    "training.linear_net_params_chain": lambda: training.LinearNetParams(
+        [np.ones((2, 3)), np.ones((1, 3))]),
+    "training.nonlinear_net_params_out_columns": lambda: training.NonlinearNetParams(
+        np.ones((6, 4)), np.ones((1, 5)), "relu"),
+    "training.hardwired_forward_basis_rows": lambda: training.hardwired_forward(
+        training.init_params((3, 2), seed=0), np.ones((4, 5)), np.ones((5, 6))),
 }
 
 

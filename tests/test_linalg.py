@@ -239,6 +239,7 @@ def test_pd_sqrt_commutes_with_commuting_diagonalizable():
 
 def test_numerical_rank():
     assert linalg.numerical_rank(np.zeros((3, 3))) == 0
+    assert linalg.numerical_rank(np.zeros((0, 3))) == 0
     assert linalg.numerical_rank(np.eye(4)) == 4
     m = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
     assert linalg.numerical_rank(m) == 1

@@ -24,6 +24,9 @@ MALFORMED = {
     "nan.mat": "1 1\nnan\n",
     "overflow.mat": "1 1\n1e999\n",
     "extra_row.mat": "1 2\n1 2\n3 4\n",
+    "word_header.mat": "x 2\n1 2\n",
+    "zero_rows.mat": "0 2\n",
+    "narrow_rows.mat": "2 3\n1 2\n3 4\n",
 }
 
 
@@ -186,7 +189,11 @@ def test_truncated_or_corrupt_entry_falls_back_to_parsing(tmp_path, cache):
                flip(3), flip(data_at), flip(data_at + want.nbytes), flip(len(good) - 2),
                good.replace(b"(7, 5)", b"(5, 7)", 1),  # the same bytes read as a 5 x 7 array
                good[:data_at] + non_finite.tobytes()  # with the CRC-32 of its data
-               + zlib.crc32(non_finite).to_bytes(4, "big") + good[data_at + want.nbytes + 4:]]
+               + zlib.crc32(non_finite).to_bytes(4, "big") + good[data_at + want.nbytes + 4:],
+               good[:6] + b"\x02" + good[7:],  # .npy format version 2.0
+               # headers that parse, of a float32, a 1-d and a Fortran-ordered array
+               good.replace(b"'<f8'", b"'<f4'", 1), good.replace(b"(7, 5)", b"(35,) ", 1),
+               good.replace(b"False", b"True ", 1)]
     for blob in damaged:
         entry.write_bytes(blob)
         assert read_matrix(path).tobytes() == want.tobytes()

@@ -391,9 +391,10 @@ def test_one_tie_rule_for_solver_path_and_enumeration():
 
 
 # C(16, 7) = 11440 index sets of a 16 x 120 target: a W per index set would hold about 170 MB
+# The child's own traced peak: its ru_maxrss would start at the peak of the process that
+# started it, which Linux carries through exec.
 _ENUMERATION_PEAK_CHILD = """
-import resource
-import sys
+import tracemalloc
 import numpy as np
 from invlowrank import groups, solvers
 rng = np.random.default_rng(0)
@@ -401,10 +402,11 @@ x = rng.standard_normal((120, 240))
 y = rng.standard_normal((16, 120)) @ x + 0.5 * rng.standard_normal((16, 240))
 problem = solvers.RegressionProblem(x=x, y=y, r=7, rep=groups.rep_from_generator(np.eye(120), 1))
 solvers.solve_regularized(problem)  # the target and its SVD, outside the measured span
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+tracemalloc.start()
 points = solvers.enumerate_critical_points(problem, "regularized")
-grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
-print(len(points), grown // (1024 if sys.platform == "darwin" else 1))  # ru_maxrss in bytes there
+grown = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(len(points), grown // 1024)
 """
 
 
