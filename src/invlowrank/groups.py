@@ -246,20 +246,15 @@ def equivariance_constraint(rep_x: GroupRep, rep_y: GroupRep) -> ConstraintMatri
 def invariant_basis(constraint: ConstraintMatrix | np.ndarray) -> np.ndarray:
     """Orthonormal rows B (d x d0) spanning the left null space of G: B G = 0.
 
-    G is a ConstraintMatrix or an array-like (through ``as_constraint``). Sign
-    convention: the first nonzero entry of each row is positive, so the basis
-    is reproducible across runs.
+    G is a ConstraintMatrix or an array-like (through ``as_constraint``). The
+    rows are the null columns of G's one cached SVD, transposed, so they carry
+    ``linalg.svd``'s sign convention: the first largest-magnitude entry of
+    every left singular vector, null columns included, is positive.
     """
     constraint = as_constraint(constraint, None)
     if constraint.nullity == 0:
         raise EmptyNullSpace("constraint has full row rank: no invariant maps")
-    basis = constraint.factors.u[:, constraint.dim - constraint.nullity:].T.copy()
-    for row in basis:
-        floor = tol.BASIS_SIGN_FLOOR * max(1.0, float(np.max(np.abs(row))))
-        nonzero = np.nonzero(np.abs(row) > floor)[0]
-        if nonzero.size and row[nonzero[0]] < 0:
-            row *= -1.0
-    return basis
+    return constraint.factors.u[:, constraint.dim - constraint.nullity:].T.copy()
 
 
 # the rows of an equivariance constraint's invariant basis are vectorized equivariant maps

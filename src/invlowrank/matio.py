@@ -119,7 +119,12 @@ def _parse_header(path: str | os.PathLike, line: str) -> tuple[int, int]:
 # lookup key; a hit needs the text to equal the file.
 
 def _cache_root() -> str | None:
-    """$XDG_CACHE_HOME/invlowrank, else ~/.cache/invlowrank, created 0o700; None if unusable."""
+    """$XDG_CACHE_HOME/invlowrank, else ~/.cache/invlowrank, created 0o700; None if unusable.
+
+    An existing root is used only while it is private: a directory this user
+    owns that neither group nor others may write, so no one else can plant an
+    entry. It is never chmod-ed.
+    """
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         home = os.path.expanduser("~")
@@ -129,7 +134,10 @@ def _cache_root() -> str | None:
     root = os.path.join(base, "invlowrank")
     try:
         os.makedirs(root, mode=0o700, exist_ok=True)
+        info = os.stat(root)
     except OSError:
+        return None
+    if info.st_uid != os.geteuid() or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
         return None
     return root
 

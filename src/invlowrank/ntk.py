@@ -249,6 +249,7 @@ def property_suites(rep: GroupRep, width: int, trials: int, seed: int
     generator seeded by ``seed`` draws every input, each suite's before that
     suite runs; the sample sets use seed and seed + 1.
     """
+    count(2).check(width, "width")  # the Monte-Carlo bound needs a standard error
     count(1).check(trials, "trials")
     SEED.check(seed, "seed")
     if not is_unitary(rep):

@@ -26,9 +26,6 @@ SPECTRAL_GAP_REL = 1e-8
 # orbit mean below this magnitude makes the relative invariance error undefined
 ORBIT_MEAN_FLOOR = 1e-12
 
-# a basis row's first entry above BASIS_SIGN_FLOOR * max(1, max|row|) is made positive
-BASIS_SIGN_FLOOR = 1e-12
-
 # kernel solve: ||(K + jitter I) a - y|| <= KERNEL_RESIDUAL * ||y||, with the
 # default jitter KERNEL_JITTER_REL * trace(K) / n
 KERNEL_RESIDUAL = 1e-6

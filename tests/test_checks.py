@@ -141,6 +141,8 @@ CONTRACT = {
         ntk.sample_width_set(4, 8, 0), "relu", embedded_cycle_rep(4, 2), np.ones(4) * 1j)),
     "ntk.property_suites_trials_zero": (InvalidArgument, lambda: ntk.property_suites(
         embedded_cycle_rep(4, 2), 8, 0, 0)),
+    "ntk.property_suites_width_one": (InvalidArgument, lambda: ntk.property_suites(
+        groups.c4_image_rotation(2), 1, 2, 0)),
     "ntk.property_suites_seed_negative": (InvalidArgument, lambda: ntk.property_suites(
         embedded_cycle_rep(4, 2), 8, 1, -1)),
     "training.linear_net_params_no_layers": (InvalidArgument, lambda: (
@@ -279,6 +281,31 @@ def test_only_tolerances_states_numerical_cutoffs():
     assert _tiny_literals(ast.parse((PACKAGE / "tolerances.py").read_text()))
     assert sorted(_tiny_literals(ast.parse("a = -1e-300\nb = 1e-12\nc = 2e-12\nd = 0.0\n"))) == [
         "line 1: 1e-300", "line 2: 1e-12"]
+
+
+def _tolerances_read(tree: ast.AST) -> set[str]:
+    """The names a module reads as ``tol.<NAME>`` or ``from .tolerances import <NAME>``."""
+    read = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "tol"):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "tolerances":
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_tolerance_is_read_by_a_library_module():
+    tolerances = ast.parse((PACKAGE / "tolerances.py").read_text())
+    defined = {target.id for node in tolerances.body if isinstance(node, ast.Assign)
+               for target in node.targets if isinstance(target, ast.Name)}
+    assert defined
+    read = set().union(*(_tolerances_read(ast.parse(path.read_text()))
+                         for path in PACKAGE.glob("*.py") if path.name != "tolerances.py"))
+    assert defined - read == set()
+    # the scan sees both spellings
+    assert _tolerances_read(ast.parse(
+        "from . import tolerances as tol\nx = tol.A\nfrom .tolerances import B\n")) == {"A", "B"}
 
 
 def _rows(extra: int = 5) -> np.ndarray:

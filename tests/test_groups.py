@@ -298,6 +298,20 @@ def test_invariant_basis_takes_an_array_g():
     assert np.array_equal(groups.invariant_basis(np.array(g.entries)), groups.invariant_basis(g))
 
 
+@pytest.mark.parametrize("make_g", [
+    lambda: groups.invariance_constraint(groups.c4_image_rotation(3)),
+    lambda: groups.invariance_constraint(_two_generator_rep()),
+    lambda: np.array(groups.invariance_constraint(groups.c4_image_rotation(3)).entries),
+], ids=["c4_image_3", "two_generator", "array_g"])
+def test_invariant_basis_is_the_null_columns_of_gs_cached_svd(make_g):
+    g = make_g()
+    c = groups.as_constraint(g, None)
+    basis = groups.invariant_basis(g)
+    assert np.array_equal(basis, c.factors.u[:, c.dim - c.nullity:].T)
+    # linalg.svd's one sign rule: each row's first largest-magnitude entry is positive
+    assert np.all(basis[np.arange(c.nullity), np.argmax(np.abs(basis), axis=1)] > 0)
+
+
 def test_is_unitary():
     assert groups.is_unitary(groups.c4_image_rotation(3), 1e-10)
     assert groups.is_unitary(groups.rotation_2d(7), 1e-10)

@@ -200,6 +200,34 @@ def test_truncated_or_corrupt_entry_falls_back_to_parsing(tmp_path, cache):
         assert read_matrix(path).shape == want.shape
 
 
+# root mode, and whether another user owns the root -> whether the root is private, so its
+# entries are served; CI's read-only step (a-w) leaves the root private
+@pytest.mark.parametrize("mode, other_owner, private", [
+    (0o700, False, True), (0o500, False, True), (0o777, False, False), (0o720, False, False),
+    (0o702, False, False), (0o700, True, False),
+], ids=["0o700", "0o500", "0o777", "0o720", "0o702", "other_owner"])
+def test_only_a_private_cache_root_serves_entries(tmp_path, cache, monkeypatch, mode,
+                                                  other_owner, private):
+    path = tmp_path / "m.mat"
+    path.write_text("2 2\n1 2\n3 4\n")
+    read_matrix(path)
+    # plant an entry, valid in every field, that holds another matrix for the same text
+    [name] = _entries(cache)
+    forged = np.full((2, 2), 9.0)
+    with open(cache / name, "wb") as entry:
+        np.lib.format.write_array(entry, forged, version=(1, 0), allow_pickle=False)
+        entry.write(zlib.crc32(forged).to_bytes(4, "big") + path.read_bytes())
+    if other_owner:
+        monkeypatch.setattr(matio.os, "geteuid", lambda: cache.stat().st_uid + 1)
+    cache.chmod(mode)
+    try:
+        got = read_matrix(path).tolist()
+        assert cache.stat().st_mode & 0o777 == mode  # an existing root is never chmod-ed
+    finally:
+        cache.chmod(0o700)
+    assert got == (forged.tolist() if private else [[1.0, 2.0], [3.0, 4.0]])
+
+
 @pytest.mark.parametrize("where", ["regular_file", "relative"])
 def test_unusable_cache_root_reads_the_same(tmp_path, monkeypatch, where):
     home = tmp_path / "home"
