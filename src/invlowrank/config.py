@@ -170,6 +170,4 @@ def _preset_int(preset: str, arg: str) -> int:
         value = int(arg)
     except ValueError as exc:
         raise InvalidConfig(f"group preset argument must be an integer: {preset!r}") from exc
-    if not count(1).valid(value):
-        raise InvalidConfig(f"group preset argument must be >= 1: {preset!r}")
-    return value
+    return count(1).check(value, f"the argument of group preset {preset!r}", InvalidConfig)

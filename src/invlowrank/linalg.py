@@ -84,8 +84,7 @@ def check_chain(w, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if (any(a.ndim != 2 for a in (w, x, y))
             or w.shape[1] != x.shape[0] or w.shape[0] != y.shape[0] or x.shape[1] != y.shape[1]):
         raise ShapeMismatch(f"W {w.shape}, X {x.shape}, Y {y.shape} do not chain")
-    if x.shape[1] == 0:
-        raise InvalidArgument("X has no samples")
+    count(1).check(x.shape[1], "the sample count")
     return w, x, y
 
 

@@ -140,8 +140,7 @@ def init_params(dims: Sequence[int], seed: int, init_scale: float = 1.0) -> Line
     """Seeded Gaussian init, std init_scale / sqrt(fan_in) per layer."""
     POSITIVE.check(init_scale, "init_scale", InvalidConfig)
     SEED.check(seed, "seed", InvalidConfig)
-    if len(_layer_widths(dims)) < 2:
-        raise InvalidConfig(f"dims must hold >= 2 layer widths, got {dims!r}")
+    count(2).check(len(_layer_widths(dims)), "the number of layer widths", InvalidConfig)
     rng = np.random.default_rng(seed)
     weights = []
     for fan_in, fan_out in zip(dims, dims[1:]):
@@ -370,8 +369,7 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
     """
     x, y = linalg.check_samples(x, y)
     hidden_dims = _layer_widths(hidden_dims)
-    if x.shape[1] == 0:
-        raise InvalidArgument("training needs at least one sample")
+    count(1).check(x.shape[1], "the sample count")
     if rep is not None:
         check_acts_on(rep, x)
     constraint = as_constraint(constraint, x.shape[0], rep)
@@ -465,8 +463,7 @@ def nonlinear_gradient(params: NonlinearNetParams, x: np.ndarray,
     dL x n (ShapeMismatch otherwise).
     """
     x, y = _net_inputs(params, real_array(x, 2, "X")), real_array(y, None, "Y")
-    if x.shape[1] == 0:
-        raise InvalidArgument("X has no samples")
+    count(1).check(x.shape[1], "the sample count")
     if y.shape != (params.out.shape[0], x.shape[1]):
         raise ShapeMismatch(f"Y {y.shape} does not have f(X)'s shape "
                             f"{(params.out.shape[0], x.shape[1])}")

@@ -1,6 +1,7 @@
 """The argument contract as one table, and the one module that owns its rules."""
 
 import ast
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from invlowrank import checks, datagen, groups, linalg, matio, ntk, solvers, training
-from invlowrank.config import parse_config_text
+from invlowrank.config import parse_config_text, resolve_group
 from invlowrank.errors import (HarnessError, IndexOutOfRange, InvalidArgument, InvalidConfig,
                                MatrixFormatError, NoConvergence, NonSquare, NotARepresentation,
                                NotPositiveDefinite, NotSymmetric, RankOutOfRange, ShapeMismatch,
@@ -262,6 +263,84 @@ def test_rule_scan_sees_both_spellings_of_a_finiteness_reduction():
     source = "np.all(np.isfinite(a))\nnp.isfinite(b).all()\nnp.isfinite(c)\nnp.all(a > 0)\n"
     assert _rule_restatements(ast.parse(source)) == [
         "line 1: an all() of isfinite", "line 2: an all() of isfinite"]
+
+
+def _count_operand(node: ast.AST) -> bool:
+    """Whether node is ``<expr>.shape[i]`` or ``len(...)``."""
+    return ((isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+             and node.value.attr == "shape")
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "len"))
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+
+
+def _count_restatements(tree: ast.AST) -> list[str]:
+    """``if`` statements that compare a shape entry or a len() with an integer literal and
+    raise InvalidArgument or InvalidConfig: count rules that ``checks.count`` states."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and len(node.test.ops) == 1):
+            continue
+        sides = (node.test.left, node.test.comparators[0])
+        if (any(isinstance(side, ast.Constant) and type(side.value) is int for side in sides)
+                and any(map(_count_operand, sides))
+                and any(isinstance(stmt, ast.Raise)
+                        and _raised_name(stmt) in ("InvalidArgument", "InvalidConfig")
+                        for stmt in node.body)):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_only_checks_states_count_rules():
+    offenders = {path.name: _count_restatements(ast.parse(path.read_text()))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_count_scan_sees_what_it_forbids():
+    source = ("if x.shape[1] == 0:\n    raise InvalidArgument('X has no samples')\n"
+              "if len(dims) < 2:\n    raise errors.InvalidConfig(f'{dims!r}')\n"
+              "if 1 > a.b.shape[0]:\n    raise InvalidArgument\n"
+              # a compound rule, another error class, no literal, no raise: not count rules
+              "if not (len(betas) == 2 and ok):\n    raise InvalidConfig('two reals')\n"
+              "if len(header) != 2:\n    raise MatrixFormatError('rows cols')\n"
+              "if x.shape[1] != y.shape[1]:\n    raise InvalidArgument('x, y')\n"
+              "if len(maps) == 8:\n    flush()\n")
+    assert _count_restatements(ast.parse(source)) == ["line 1", "line 3", "line 5"]
+
+
+# entry point -> (the error its contract names, the message, the call)
+COUNT_MESSAGES = {
+    "linalg.check_chain_no_samples": (
+        InvalidArgument, "the sample count must be an integer >= 1, got 0",
+        lambda: linalg.check_chain(*_no_samples())),
+    "training.train_no_samples": (
+        InvalidArgument, "the sample count must be an integer >= 1, got 0",
+        lambda: training.train(_train_config(), (2,), *_no_samples()[1:],
+                               rep=embedded_cycle_rep(3, 2))),
+    "training.nonlinear_gradient_no_samples": (
+        InvalidArgument, "the sample count must be an integer >= 1, got 0",
+        lambda: _nonlinear_gradient(*_no_samples()[1:])),
+    "training.init_params_one_width": (
+        InvalidConfig, "the number of layer widths must be an integer >= 2, got 1",
+        lambda: training.init_params((3,), 0)),
+    "config.group_preset_zero": (
+        InvalidConfig,
+        "the argument of group preset 'cyclic_perm:0' must be an integer >= 1, got 0",
+        lambda: resolve_group(parse_config_text("group = cyclic_perm:0\ndL = 2\nn = 8\n"))),
+}
+
+
+@pytest.mark.parametrize("error, message, call", list(COUNT_MESSAGES.values()),
+                         ids=list(COUNT_MESSAGES))
+def test_count_refusals_use_the_kind_phrase(error, message, call):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _tiny_literals(tree: ast.AST) -> list[str]:

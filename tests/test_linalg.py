@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invlowrank import linalg
-from invlowrank.errors import NotPositiveDefinite, NotSymmetric, RankOutOfRange
+from invlowrank.errors import NoConvergence, NotPositiveDefinite, NotSymmetric, RankOutOfRange
 
 from oracles import loop_signed_svd, random_rank_r_matrices
 
@@ -149,6 +149,24 @@ def test_pd_inv_sqrt_inverts():
 def test_pd_sqrt_rejects_nonsymmetric():
     with pytest.raises(NotSymmetric):
         linalg.pd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def _lapack_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+@pytest.mark.parametrize("call", [linalg.svd, linalg.singular_values],
+                         ids=["svd", "singular_values"])
+def test_failed_svd_raises_no_convergence(monkeypatch, call):
+    monkeypatch.setattr(np.linalg, "svd", _lapack_failure)
+    with pytest.raises(NoConvergence):
+        call(np.eye(3))
+
+
+def test_failed_eigensolver_raises_not_positive_definite(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _lapack_failure)
+    with pytest.raises(NotPositiveDefinite, match="eigendecomposition failed"):
+        linalg.pd_inv_sqrt(np.eye(3))
 
 
 def test_pd_sqrt_rejects_indefinite():

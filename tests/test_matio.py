@@ -1,5 +1,7 @@
 """Matrix-file format: bit-exact round trips, error reporting and the read cache."""
 
+import errno
+import io
 import tracemalloc
 import zlib
 
@@ -268,6 +270,45 @@ def test_cache_that_cannot_be_written_reads_the_same(tmp_path, cache, monkeypatc
         assert np.array_equal(read_matrix(path), np.random.default_rng(5).standard_normal((7, 5)))
     assert len(parses) == 2
     assert len(_entries(cache)) == 1
+
+
+def _disk_full(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _interrupted(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+# a full disk turns the store into a parse; an interrupt reaches the caller
+@pytest.mark.parametrize("failure", [_disk_full, _interrupted], ids=["disk_full", "interrupt"])
+def test_failed_entry_write_leaves_no_temporary_file(tmp_path, cache, monkeypatch, failure):
+    path = _written(tmp_path / "m.mat", 6)
+    monkeypatch.setattr(np.lib.format, "write_array", failure)
+    if failure is _interrupted:
+        with pytest.raises(KeyboardInterrupt):
+            read_matrix(path)
+    else:
+        assert np.array_equal(read_matrix(path), np.random.default_rng(6).standard_normal((7, 5)))
+    assert _entries(cache) == []
+
+
+class _FullDiskStaging(io.BytesIO):
+    """A staging file on a full disk: every write raises ENOSPC."""
+
+    def write(self, data):
+        _disk_full()
+
+
+def test_failed_staging_write_parses_and_stores_nothing(tmp_path, cache, monkeypatch):
+    monkeypatch.setattr(matio.tempfile, "TemporaryFile", lambda *args, **kwargs: (
+        _FullDiskStaging()))
+    parses = _count_parses(monkeypatch)
+    path = _written(tmp_path / "m.mat", 7)
+    for _ in range(2):
+        assert np.array_equal(read_matrix(path), np.random.default_rng(7).standard_normal((7, 5)))
+    assert len(parses) == 2
+    assert _entries(cache) == []
 
 
 def test_no_home_means_no_cache(tmp_path, monkeypatch):

@@ -67,6 +67,17 @@ def test_problem_validates_shapes_and_data():
         RegressionProblem(x=x, y=rng.standard_normal((2, 6)), r=1, rep=trivial_rep(3))
 
 
+def test_problem_with_a_failed_eigensolver_raises_singular_data(monkeypatch):
+    base = random_problem(0)
+
+    def failure(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failure)
+    with pytest.raises(SingularData, match="eigendecomposition failed"):
+        RegressionProblem(x=base.x, y=base.y, r=base.r, rep=base.rep)
+
+
 def test_problem_flags():
     prob = random_problem(seed=0, d0=8, dl=5, order=4, r=2)
     assert "NonFilling" in prob.flags
