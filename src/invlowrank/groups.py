@@ -93,26 +93,21 @@ class ConstraintMatrix:
         return _freeze(linalg.left_null_projector(self.entries, self.factors))
 
 
-def constraint_entries(g: ConstraintMatrix | np.ndarray, d0: int | None) -> np.ndarray:
-    """G (a ConstraintMatrix or an array-like) as a float matrix; ShapeMismatch unless d0 x k.
-
-    A d0 of None checks only that G is 2-d.
-    """
-    entries = linalg.as_matrix(g.entries if isinstance(g, ConstraintMatrix) else g)
-    if d0 is not None and entries.shape[0] != d0:
-        raise ShapeMismatch(f"constraint G {entries.shape} does not have d0 = {d0} rows")
-    return entries
-
-
 def as_constraint(g: ConstraintMatrix | np.ndarray | None, d0: int | None,
                   rep: GroupRep | None = None) -> ConstraintMatrix:
-    """G, checked by ``constraint_entries``, as a ConstraintMatrix; without a G, the rep's G."""
+    """G as a ConstraintMatrix: one given as is, an array-like over a frozen copy, else the rep's G.
+
+    ShapeMismatch unless G is a d0 x k matrix; a d0 of None checks only that G is 2-d.
+    """
     if g is None:
         if rep is None:
             raise InvalidArgument("need a constraint G or a group rep")
         g = invariance_constraint(rep)
-    entries = constraint_entries(g, d0)
-    return g if isinstance(g, ConstraintMatrix) else ConstraintMatrix(entries=_freeze(entries))
+    given = isinstance(g, ConstraintMatrix)
+    entries = linalg.as_matrix(g.entries if given else g)
+    if d0 is not None and entries.shape[0] != d0:
+        raise ShapeMismatch(f"constraint G {entries.shape} does not have d0 = {d0} rows")
+    return g if given else ConstraintMatrix(entries=_freeze(entries))
 
 
 def _validate_generator(gen: np.ndarray, order: int) -> np.ndarray:

@@ -4,7 +4,8 @@ Entries are serialized with 17 significant digits, which round-trips every
 64-bit float bit-exactly. Files always use '.' decimals, single spaces, and
 LF line endings, so rewriting a matrix reproduces the file byte for byte.
 Rows are written one at a time by numpy's ``savetxt``, so a write holds one
-row of text, never the whole file.
+row of text, never the whole file. Both dimensions are >= 1: one header rule
+serves the reader, its cache and the writer, which refuses an empty matrix.
 A parsed file is kept in a per-user cache, which serves it only while the
 file's bytes equal the cached copy, so a read returns what a parse would.
 """
@@ -42,11 +43,12 @@ def write_matrix(path: str | os.PathLike, m: np.ndarray) -> None:
         m = real_array(m, 2, "matrix")
     except ConfigError as exc:
         raise MatrixFormatError(str(exc)) from exc
+    header = "%d %d" % m.shape
+    _header(path, [header])  # the reader's rule: a matrix of no rows or columns is refused
     if not all_finite(m):
         raise MatrixFormatError("matrix entries must be finite")
-    rows, cols = m.shape
     with open(path, "w", newline="\n") as fh:
-        np.savetxt(fh, m, fmt=FLOAT_FORMAT, delimiter=" ", header=f"{rows} {cols}", comments="")
+        np.savetxt(fh, m, fmt=FLOAT_FORMAT, delimiter=" ", header=header, comments="")
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
@@ -79,12 +81,7 @@ def _parse(path: str | os.PathLike, binary) -> np.ndarray:
     """The matrix in the UTF-8 text that ``binary`` reads, which is left open."""
     fh = io.TextIOWrapper(binary, encoding="utf-8")
     try:
-        for line in fh:
-            if line.strip():
-                break
-        else:
-            raise MatrixFormatError(f"{path}: empty matrix file")
-        rows, cols = _parse_header(path, line.strip())
+        rows, cols = _header(path, fh)
         with warnings.catch_warnings():
             # a header-only file is reported by the shape check below
             warnings.simplefilter("ignore", UserWarning)
@@ -100,7 +97,17 @@ def _parse(path: str | os.PathLike, binary) -> np.ndarray:
     return out
 
 
-def _parse_header(path: str | os.PathLike, line: str) -> tuple[int, int]:
+def _header(path: str | os.PathLike, lines) -> tuple[int, int]:
+    """The 'rows cols' on the first non-blank of ``lines``; MatrixFormatError unless both are >= 1.
+
+    Lines are read up to and including the header, so the data rows follow.
+    """
+    for line in lines:
+        if line.strip():
+            break
+    else:
+        raise MatrixFormatError(f"{path}: empty matrix file")
+    line = line.strip()
     header = line.split()
     if len(header) != 2:
         raise MatrixFormatError(f"{path}: header must be 'rows cols', got {line!r}")
@@ -173,7 +180,10 @@ def _cached(root: str, raw) -> np.ndarray | None:
             entry.seek(start + nbytes)
             array_crc = entry.read(4)
             raw.seek(0)
-            if not _same_bytes(raw, entry) or _text_shape(raw) != shape:
+            if not _same_bytes(raw, entry):
+                return None
+            raw.seek(0)
+            if _header(raw.name, raw) != shape:
                 return None
             out = np.empty(shape)
             entry.seek(start)
@@ -182,7 +192,7 @@ def _cached(root: str, raw) -> np.ndarray | None:
                     or not all_finite(out)):
                 return None
             return out
-    except (OSError, ValueError):
+    except (OSError, ValueError, MatrixFormatError):
         return None
     finally:
         raw.seek(0)
@@ -196,15 +206,6 @@ def _same_bytes(a, b) -> bool:
             return False
         if not chunk:
             return True
-
-
-def _text_shape(raw) -> tuple[int, ...]:
-    """The integers on the first non-blank line of ``raw``."""
-    raw.seek(0)
-    for line in raw:
-        if line.strip():
-            return tuple(int(v) for v in line.split())
-    return ()
 
 
 def _parse_and_store(path: str | os.PathLike, raw, root: str) -> np.ndarray:

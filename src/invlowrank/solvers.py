@@ -49,8 +49,8 @@ from .errors import (
     SingularData,
     TooManySubsets,
 )
-from .groups import (ConstraintMatrix, GroupRep, as_constraint, check_acts_on, constraint_entries,
-                     elements, group_average)
+from .groups import (ConstraintMatrix, GroupRep, as_constraint, check_acts_on, elements,
+                     group_average)
 
 WARN_RANK_VACUOUS = "RankConstraintVacuous"
 WARN_RANK_ASSUMPTION = "RankAssumptionViolated"
@@ -338,7 +338,7 @@ def penalty_entries(lam: float, g, d0: int) -> np.ndarray | None:
         if lam:
             raise InvalidArgument(f"lambda = {lam} needs a constraint G to penalize")
         return None
-    return constraint_entries(g, d0)
+    return as_constraint(g, d0).entries
 
 
 def empirical_risk(w: np.ndarray, x: np.ndarray, y: np.ndarray,

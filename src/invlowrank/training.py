@@ -392,7 +392,7 @@ def train(config: TrainConfig, hidden_dims: Sequence[int], x: np.ndarray, y: np.
         x_metric = basis @ x
         blocks = [(x_metric, y)]
     else:
-        lam, g = config.lam, entries
+        lam, g = config.lam, constraint
         blocks = [(x, y)]
     if config.loss == "mse":
         samples = None

@@ -314,6 +314,46 @@ def test_count_scan_sees_what_it_forbids():
     assert _count_restatements(ast.parse(source)) == ["line 1", "line 3", "line 5"]
 
 
+def _names_constraint_matrix(node: ast.AST) -> bool:
+    if isinstance(node, ast.Tuple):
+        return any(map(_names_constraint_matrix, node.elts))
+    return getattr(node, "id", getattr(node, "attr", None)) == "ConstraintMatrix"
+
+
+def _constraint_unwraps(tree: ast.AST, owner: str | None) -> list[str]:
+    """``isinstance(<expr>, ConstraintMatrix)`` calls outside the function named ``owner``:
+    places that unwrap G, which ``groups.as_constraint`` alone does."""
+    owned = {id(node) for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) and func.name == owner
+             for node in ast.walk(func)}
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                   and len(node.args) == 2 and _names_constraint_matrix(node.args[1])
+                   and id(node) not in owned)
+    return [f"line {line}" for line in lines]
+
+
+def test_only_as_constraint_unwraps_g():
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        owner = "as_constraint" if path.name == "groups.py" else None
+        offenders[path.name] = _constraint_unwraps(ast.parse(path.read_text()), owner)
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_unwrap_scan_sees_what_it_forbids():
+    source = ("def constraint_entries(g):\n"
+              "    return g.entries if isinstance(g, ConstraintMatrix) else g\n"
+              "ok = isinstance(g, (np.ndarray, groups.ConstraintMatrix))\n"
+              "def as_constraint(g):\n    given = isinstance(g, ConstraintMatrix)\n"
+              # another class, another call, a bare name: not unwraps
+              "if isinstance(rep, GroupRep) or type(g) is ConstraintMatrix:\n    pass\n"
+              "def f(g):\n    return check(g, ConstraintMatrix)\n")
+    tree = ast.parse(source)
+    assert _constraint_unwraps(tree, "as_constraint") == ["line 2", "line 3"]
+    assert _constraint_unwraps(tree, None) == ["line 2", "line 3", "line 5"]
+
+
 # entry point -> (the error its contract names, the message, the call)
 COUNT_MESSAGES = {
     "linalg.check_chain_no_samples": (

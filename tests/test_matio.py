@@ -69,6 +69,22 @@ def test_write_rejects_non_finite(tmp_path):
         write_matrix(tmp_path / "bad.mat", np.array([[np.inf]]))
 
 
+# a matrix with no rows or no columns: the header the writer would give it is one the reader
+# refuses, so the writer refuses the matrix with the reader's message and writes no file
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)], ids=["0x3", "3x0", "0x0"])
+def test_write_refuses_what_the_reader_refuses(tmp_path, shape):
+    text = tmp_path / "text.mat"
+    text.write_text("%d %d\n" % shape)
+    with pytest.raises(MatrixFormatError) as refused:
+        read_matrix(text)
+    path = tmp_path / "empty.mat"
+    with pytest.raises(MatrixFormatError) as excinfo:
+        write_matrix(path, np.zeros(shape))
+    assert str(excinfo.value) == str(refused.value).replace("text.mat", "empty.mat")
+    assert "dimensions must be positive" in str(excinfo.value)
+    assert not path.exists()
+
+
 # every sign, the extremes and the smallest subnormal, as the writer must spell them
 EXTREMES = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308]
 
@@ -291,6 +307,20 @@ def test_failed_entry_write_leaves_no_temporary_file(tmp_path, cache, monkeypatc
     else:
         assert np.array_equal(read_matrix(path), np.random.default_rng(6).standard_normal((7, 5)))
     assert _entries(cache) == []
+
+
+def test_failed_clean_up_parses_and_the_cap_evicts_the_leftover(tmp_path, cache, monkeypatch):
+    path = _written(tmp_path / "m.mat", 8)
+    with monkeypatch.context() as patched:
+        patched.setattr(np.lib.format, "write_array", _disk_full)
+        patched.setattr(matio.os, "unlink", _disk_full)
+        assert np.array_equal(read_matrix(path), np.random.default_rng(8).standard_normal((7, 5)))
+    [leftover] = _entries(cache)
+    assert leftover.endswith(".tmp")
+    for i in range(matio.CACHE_ENTRIES):
+        read_matrix(_written(tmp_path / f"n{i}.mat", 100 + i, (2, 2)))
+    assert len(_entries(cache)) == matio.CACHE_ENTRIES
+    assert not any(name.endswith(".tmp") for name in _entries(cache))
 
 
 class _FullDiskStaging(io.BytesIO):
